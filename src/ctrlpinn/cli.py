@@ -95,7 +95,11 @@ def cmd_train(args) -> int:
     from . import trainer
     from .loss import TERM_ORDER
 
-    problem = config.make_problem()
+    try:
+        problem = config.make_problem()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     settings = config.make_settings()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,11 +247,16 @@ def _load_run(run_dir):
 
 
 def cmd_validate(args) -> int:
+    from .config import ConfigError
+
     try:
         run, config, params = _load_run(args.run_dir)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     import numpy as np
 
@@ -369,11 +378,16 @@ def cmd_plot(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .config import ConfigError
+
     try:
         run, config, params = _load_run(args.run_dir)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     import numpy as np
 

@@ -7,6 +7,7 @@ line number, as are unparsable values.  See README for the full key table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .loss import LossWeights
@@ -37,6 +38,13 @@ def _parse_nonnegative_int(text: str) -> int:
     return value
 
 
+def _parse_positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"must be finite and > 0, got {value!r}")
+    return value
+
+
 SCHEMA = {
     "run": {
         "problem": str,
@@ -49,7 +57,7 @@ SCHEMA = {
         "early_stop_tol": float,
     },
     "problem": {
-        "diffusivity": float,
+        "diffusivity": _parse_positive_float,
         "interior_tracking": _parse_bool,
         "track_y1": _parse_bool,
         "target_supervision": _parse_bool,

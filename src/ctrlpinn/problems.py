@@ -263,6 +263,8 @@ class HeatProblem(ControlProblem):
     def __init__(self, diffusivity: float = 0.1, interior_tracking: bool = False):
         self.domain = Domain(0.0, 1.0, ((0.0, 1.0),))
         self.diffusivity = float(diffusivity)
+        if not (np.isfinite(self.diffusivity) and self.diffusivity > 0.0):
+            raise ValueError(f"diffusivity must be finite and > 0, got {diffusivity!r}")
         self.interior_tracking = bool(interior_tracking)
         self._amp = 2.0 / (np.pi + 4.0 * np.pi**3)
 

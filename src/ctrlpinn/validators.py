@@ -1,8 +1,9 @@
 """Independent classical checks of a learned control.
 
 Nothing here reuses the network's derivative machinery: the ODE integrator is
-a textbook RK4, the heat solver is explicit central differences with a
-built-in stability guard, and the error/effort metrics are plain quadrature.
+a textbook RK4, the heat solver is the explicit FTCS recurrence with a
+built-in stability guard, advanced exactly mode by mode in its sine
+eigenbasis, and the error/effort metrics are plain quadrature.
 Exported control data enters through :class:`ControlField` (a sampled grid
 with bilinear interpolation), mirroring the offline-data validation route.
 """
@@ -158,11 +159,23 @@ def solve_heat_dns(
 ) -> DnsSolution:
     """Explicit finite differences for y_t = a y_xx + u, Dirichlet-zero walls.
 
-    Second-order central differences in space, forward Euler in time.  The
-    step must satisfy dt <= dx^2 / (2 a); violating requests are refused with
-    the largest compliant step.  ``initial_state`` is a callable of x
-    (defaults to the heated-rod benchmark profile).
+    The FTCS recurrence: second-order central differences in space, forward
+    Euler in time, with the control sampled on the solver's x grid and
+    lerped in time between the field's rows.  The step must satisfy
+    dt <= dx^2 / (2 a); violating requests are refused with the largest
+    compliant step.  ``initial_state`` is a callable of x (defaults to the
+    heated-rod benchmark profile).
+
+    The recurrence is advanced exactly, mode by mode, in its Dirichlet sine
+    eigenbasis, where one step multiplies mode k by
+    mu_k = 1 - 4 r sin^2(pi k / (2 (m + 1))) for m interior points and
+    r = a dt / dx^2.  The run is cut at every stored step and at the first
+    step of every control-row interval; inside a cut the forcing is linear
+    in the step index, so its L steps are one closed-form update.  The
+    result equals stepping one step at a time up to rounding.
     """
+    if not (np.isfinite(diffusivity) and diffusivity > 0.0):
+        raise ValueError(f"diffusivity must be finite and > 0, got {diffusivity!r}")
     t0, tf, x0, x1 = control.t0, control.tf, control.x0, control.x1
     x = np.linspace(x0, x1, nx)
     dx = x[1] - x[0]
@@ -187,46 +200,90 @@ def solve_heat_dns(
     store_times = np.asarray(store_times, dtype=float)
     store_steps = np.unique(np.clip(np.rint((store_times - t0) / dt).astype(int), 0, steps))
     snap_times = t0 + store_steps * dt
-    snapshots = np.empty((store_steps.size, nx))
+    snapshots = np.zeros((store_steps.size, nx))
     snap_index = {int(s): i for i, s in enumerate(store_steps)}
     if 0 in snap_index:
         snapshots[snap_index[0]] = y
 
-    # Control sampled once on the solver's x grid, then lerped in time.
-    u_on_x = np.empty((control.values.shape[0], nx))
-    for i, row_t in enumerate(control.t_grid):
-        u_on_x[i] = control.at(np.full(nx, row_t), x)
-    u_on_x = u_on_x[:, 1:-1]
+    # basis[j - 1, k - 1] = sin(pi j k / (m + 1)) for j, k = 1..m holds the
+    # eigenvectors of one step, and basis @ basis = (m + 1) / 2 I.  jk is
+    # reduced mod 2 (m + 1) first, so every sine argument lies in [0, 2 pi).
+    m = nx - 2
+    basis = np.arange(1.0, m + 1)
+    basis = np.multiply.outer(basis, basis)
+    np.fmod(basis, 2.0 * (m + 1), out=basis)
+    basis *= np.pi / (m + 1)
+    np.sin(basis, out=basis)
     r = diffusivity * dt / (dx * dx)
-    n_rows = u_on_x.shape[0]
+    mu = 1.0 - 4.0 * r * np.sin(np.pi * np.arange(1, m + 1) / (2.0 * (m + 1))) ** 2
 
-    # y_inner <- y_inner + r (y_right - 2 y_inner + y_left) + dt u_row, in
-    # that order, computed in preallocated buffers (the walls stay zero).
-    y_inner, y_left, y_right = y[1:-1], y[:-2], y[2:]
-    lap = np.empty(nx - 2)
-    forcing = np.empty(nx - 2)
-    other = np.empty(nx - 2)
-    for k in range(steps):
-        t = t0 + k * dt
-        if n_rows == 1:
-            np.multiply(u_on_x[0], dt, out=forcing)
-        else:
-            pos = (t - t0) / (tf - t0) * (n_rows - 1)
-            i = min(int(pos), n_rows - 2)
-            frac = pos - i
-            np.multiply(u_on_x[i], 1.0 - frac, out=forcing)
-            np.multiply(u_on_x[i + 1], frac, out=other)
-            forcing += other
-            forcing *= dt
-        np.multiply(y_inner, 2.0, out=lap)
-        np.subtract(y_right, lap, out=lap)
-        lap += y_left
-        lap *= r
-        lap += y_inner
-        np.add(lap, forcing, out=y_inner)
-        idx = snap_index.get(k + 1)
+    # Step k forces with (1 - frac) u_i + frac u_{i+1}, where i and frac come
+    # from pos = (t_k - t0) / (tf - t0) (n_rows - 1).  Inside one row
+    # interval frac grows by delta per step, so cutting at the first step of
+    # every interval leaves the forcing linear in the step index.
+    n_rows = control.values.shape[0]
+    last_row = max(n_rows - 2, 0)
+    delta = dt * (n_rows - 1) / (tf - t0)
+
+    def row_pos(k):
+        return (t0 + k * dt - t0) / (tf - t0) * (n_rows - 1)
+
+    cuts = [np.array([0, steps]), store_steps]
+    if n_rows > 2:
+        rows = np.arange(1, n_rows - 1)
+        first = -(-rows * steps // (n_rows - 1))  # ceil(rows * steps / (n_rows - 1))
+        # Rounding can leave pos a hair below an exact integer: then the
+        # interval starts one step later, as in a step-by-step run.
+        first += row_pos(first).astype(int) < rows
+        cuts.append(np.minimum(first, steps))
+    cuts = np.unique(np.concatenate(cuts))
+    # Segments longer than about sqrt(steps) are split into pieces of that
+    # length, so the Horner pass below and the segment count both stay near
+    # sqrt(steps) however few store times and rows there are.
+    piece = int(np.ceil(np.sqrt(steps)))
+    long_runs = [np.arange(a, b, piece) for a, b in zip(cuts[:-1], cuts[1:]) if b - a > piece]
+    cuts = np.unique(np.concatenate([cuts, *long_runs]))
+    lengths = np.diff(cuts)
+
+    # Over a segment of L steps from step a, with f0 = frac at a:
+    #   y_hat <- mu^L y_hat + dt [((1 - f0) G0 - delta G1) u_hat_i + (f0 G0 + delta G1) u_hat_{i+1}]
+    # with G0 = sum_j mu^(L-1-j) and G1 = sum_j j mu^(L-1-j) over j < L,
+    # accumulated by Horner and kept for the lengths that occur.
+    wanted = set(lengths.tolist())
+    power, g0, g1 = np.ones(m), np.zeros(m), np.zeros(m)
+    sums = {}
+    for length in range(1, max(wanted) + 1):
+        g1 *= mu
+        g1 += length - 1
+        g0 *= mu
+        g0 += 1.0
+        power *= mu
+        if length in wanted:
+            sums[length] = (power.copy(), g0.copy(), g1.copy())
+
+    # Control rows are sampled on the interior x and transformed when first
+    # needed; only the two rows of the current interval are kept.
+    row_times = control.t_grid
+
+    def transformed_row(j):
+        return basis @ control.at(np.full(m, row_times[j]), x[1:-1])
+
+    y_hat = basis @ y[1:-1]
+    back = 2.0 / (m + 1)
+    u_hat = {}
+    for a, length in zip(cuts[:-1].tolist(), lengths.tolist()):
+        pos = row_pos(a)
+        i = min(int(pos), last_row)
+        frac = pos - i
+        pair = (i, min(i + 1, n_rows - 1))
+        u_hat = {j: u_hat[j] if j in u_hat else transformed_row(j) for j in pair}
+        power, g0, g1 = sums[length]
+        weight_next = frac * g0 + delta * g1
+        y_hat *= power
+        y_hat += dt * ((g0 - weight_next) * u_hat[pair[0]] + weight_next * u_hat[pair[1]])
+        idx = snap_index.get(a + length)
         if idx is not None:
-            snapshots[idx] = y
+            snapshots[idx, 1:-1] = back * (basis @ y_hat)
     if not np.isfinite(snapshots).all():
         raise RuntimeError("DNS produced non-finite values")
     return DnsSolution(times=snap_times, x=x, y=snapshots, dt=dt, dx=dx)

@@ -1,5 +1,6 @@
-"""Independent oracles: symbolic closed-form benchmark solutions, and
-finite differences of the network on stencils that avoid ELU's kinks.
+"""Independent oracles: symbolic closed-form benchmark solutions, finite
+differences of the network on stencils that avoid ELU's kinks, and the
+step-by-step FTCS heat solver.
 
 The closed-form derivatives come from sympy and the network's
 pre-activations are recomputed from its raw weights, never through the
@@ -10,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+
+from ctrlpinn.problems import HeatProblem
+from ctrlpinn.validators import ControlField, DnsSolution, StabilityError
 
 _t, _x = sp.symbols("t x")
 
@@ -144,3 +148,89 @@ def kink_free_derivative(f, pattern, z, h_max, order, h_min=KINK_H_MIN):
     stencil = kink_free_stencil(pattern, z, h_max, order, h_min)
     assert stencil is not None, f"no kink-free order-{order} stencil at {z!r} with h >= {h_min}"
     return stencil.apply(f), stencil
+
+
+# The explicit heat solver, one time step per loop iteration.
+
+
+def ftcs_step_by_step(
+    control: ControlField,
+    diffusivity: float,
+    nx: int = 1001,
+    dt: float | None = None,
+    initial_state=None,
+    store_times=None,
+) -> DnsSolution:
+    """Step-by-step FTCS reference for ``ctrlpinn.validators.solve_heat_dns``.
+
+    Explicit finite differences for y_t = a y_xx + u with Dirichlet-zero
+    walls: second-order central differences in space, forward Euler in time,
+    one Python iteration per time step.  Same arguments, stability guard,
+    step rounding, store-step rounding and output as the package's solver,
+    which advances the same recurrence in its sine eigenbasis instead.
+    """
+    t0, tf, x0, x1 = control.t0, control.tf, control.x0, control.x1
+    x = np.linspace(x0, x1, nx)
+    dx = x[1] - x[0]
+    max_dt = dx * dx / (2.0 * diffusivity)
+    if dt is None:
+        dt = max_dt
+    elif dt > max_dt * (1.0 + 1e-12):
+        raise StabilityError(dt, max_dt)
+    steps = int(np.ceil((tf - t0) / dt))
+    dt = (tf - t0) / steps
+
+    if initial_state is None:
+        initial_state = HeatProblem().initial_profile
+    y = np.asarray(initial_state(x), dtype=float).copy()
+    y[0] = 0.0
+    y[-1] = 0.0
+
+    if store_times is None:
+        store_times = np.linspace(t0, tf, 101)
+    store_times = np.asarray(store_times, dtype=float)
+    store_steps = np.unique(np.clip(np.rint((store_times - t0) / dt).astype(int), 0, steps))
+    snap_times = t0 + store_steps * dt
+    snapshots = np.empty((store_steps.size, nx))
+    snap_index = {int(s): i for i, s in enumerate(store_steps)}
+    if 0 in snap_index:
+        snapshots[snap_index[0]] = y
+
+    # Control sampled once on the solver's x grid, then lerped in time.
+    u_on_x = np.empty((control.values.shape[0], nx))
+    for i, row_t in enumerate(control.t_grid):
+        u_on_x[i] = control.at(np.full(nx, row_t), x)
+    u_on_x = u_on_x[:, 1:-1]
+    r = diffusivity * dt / (dx * dx)
+    n_rows = u_on_x.shape[0]
+
+    # y_inner <- y_inner + r (y_right - 2 y_inner + y_left) + dt u_row, in
+    # that order, computed in preallocated buffers (the walls stay zero).
+    y_inner, y_left, y_right = y[1:-1], y[:-2], y[2:]
+    lap = np.empty(nx - 2)
+    forcing = np.empty(nx - 2)
+    other = np.empty(nx - 2)
+    for k in range(steps):
+        t = t0 + k * dt
+        if n_rows == 1:
+            np.multiply(u_on_x[0], dt, out=forcing)
+        else:
+            pos = (t - t0) / (tf - t0) * (n_rows - 1)
+            i = min(int(pos), n_rows - 2)
+            frac = pos - i
+            np.multiply(u_on_x[i], 1.0 - frac, out=forcing)
+            np.multiply(u_on_x[i + 1], frac, out=other)
+            forcing += other
+            forcing *= dt
+        np.multiply(y_inner, 2.0, out=lap)
+        np.subtract(y_right, lap, out=lap)
+        lap += y_left
+        lap *= r
+        lap += y_inner
+        np.add(lap, forcing, out=y_inner)
+        idx = snap_index.get(k + 1)
+        if idx is not None:
+            snapshots[idx] = y
+    if not np.isfinite(snapshots).all():
+        raise RuntimeError("DNS produced non-finite values")
+    return DnsSolution(times=snap_times, x=x, y=snapshots, dt=dt, dx=dx)

@@ -84,6 +84,27 @@ def test_train_unknown_key_reports_line(tmp_path, capsys):
     assert "bad.cfg:3" in capsys.readouterr().err
 
 
+def test_train_nonphysical_diffusivity_is_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = cli.main(["train", "--config", _cfg(tmp_path, TINY_HEAT), "--diffusivity", "-1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert "diffusivity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "export"])
+def test_saved_run_with_bad_config_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", _cfg(tmp_path, TINY_ANALYTICAL), "--out", str(out)]) == 0
+    resolved = out / "config.resolved.cfg"
+    lines = resolved.read_text().splitlines()
+    resolved.write_text("\n".join(lines[:2] + ["speed = 9"] + lines[2:]) + "\n")
+    capsys.readouterr()
+    code = cli.main([command, str(out), "--resolution", "41"])
+    assert code == cli.EXIT_CONFIG
+    assert "config.resolved.cfg:3: unknown key 'speed'" in capsys.readouterr().err
+
+
 def test_validate_analytical_run(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", _cfg(tmp_path, TINY_ANALYTICAL), "--out", str(out)]) == 0

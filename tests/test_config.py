@@ -88,6 +88,15 @@ def test_negative_lr_half_life_reports_line(tmp_path):
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_nonphysical_diffusivity_reports_line(tmp_path, value):
+    text = f"[run]\nproblem = heat\n\n[problem]\ndiffusivity = {value}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(_write(tmp_path, text))
+    assert err.value.line == 5
+    assert "diffusivity" in str(err.value)
+
+
 def test_missing_problem_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(_write(tmp_path, "[run]\nepochs = 10\n"))

@@ -136,6 +136,12 @@ def test_heat_initial_profile_and_target_conflict():
     assert np.max(np.abs(p.initial_profile(x))) > 0.5
 
 
+@pytest.mark.parametrize("diffusivity", [0.0, -1.0, float("nan"), float("inf")])
+def test_heat_refuses_nonphysical_diffusivity(diffusivity):
+    with pytest.raises(ValueError, match="diffusivity"):
+        HeatProblem(diffusivity=diffusivity)
+
+
 # -- predator-prey problem -------------------------------------------------------
 
 

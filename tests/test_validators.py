@@ -110,6 +110,44 @@ def test_dns_refuses_unstable_step_with_compliant_dt():
     solve_heat_dns(field, diffusivity=1.0, nx=101, dt=max_dt, initial_state=lambda x: np.zeros_like(x))
 
 
+# (nx, diffusivity, dt as a fraction of the stable step or None for the
+# default, control rows, time span of the field, off-grid store times or None
+# for the default 101)
+_FTCS_CASES = [
+    (51, 0.1, None, 1, (0.0, 1.0), None),
+    (51, 0.3, 0.7, 2, (0.0, 1.0), [0.0, 0.0123, 0.31416, 0.5, 0.777, 1.0]),
+    (51, 1.0, None, 7, (0.0, 1.0), None),
+    (51, 0.1, 0.7, "nx", (0.1, 0.6), [0.1, 0.1234, 0.4321, 0.6]),
+    (101, 0.3, None, "nx", (0.0, 1.0), None),
+    (101, 1.0, 0.7, 1, (0.0, 1.0), [0.0, 0.0123, 0.31416, 0.5, 0.777, 1.0]),
+    (101, 0.1, None, 7, (0.0, 1.0), [0.0, 0.0123, 0.31416, 0.5, 0.777, 1.0]),
+    (201, 1.0, None, "nx", (0.0, 1.0), None),
+    (201, 0.1, 0.7, 2, (0.0, 1.0), None),
+    (201, 0.3, None, 7, (0.0, 1.0), [0.0, 0.0123, 0.31416, 0.5, 0.777, 1.0]),
+]
+
+
+@pytest.mark.parametrize("nx, diffusivity, dt_fraction, rows, span, store_times", _FTCS_CASES)
+def test_dns_matches_step_by_step_ftcs(nx, diffusivity, dt_fraction, rows, span, store_times):
+    rows = nx if rows == "nx" else rows
+    rng = np.random.default_rng(nx + rows)
+    field = ControlField(span[0], span[1], 0.0, 1.0, rng.uniform(-1.0, 1.0, (rows, 13)))
+    dt = None if dt_fraction is None else dt_fraction * (1.0 / (nx - 1)) ** 2 / (2.0 * diffusivity)
+    fast = solve_heat_dns(field, diffusivity, nx=nx, dt=dt, store_times=store_times)
+    slow = oracles.ftcs_step_by_step(field, diffusivity, nx=nx, dt=dt, store_times=store_times)
+    assert (fast.dt, fast.dx) == (slow.dt, slow.dx)
+    assert np.array_equal(fast.times, slow.times)
+    assert np.array_equal(fast.x, slow.x)
+    assert fast.y.shape == slow.y.shape
+    assert np.max(np.abs(fast.y - slow.y)) <= 1e-12 * max(1.0, np.max(np.abs(slow.y)))
+
+
+@pytest.mark.parametrize("diffusivity", [0.0, -1.0, float("nan"), float("inf")])
+def test_dns_refuses_nonphysical_diffusivity(diffusivity):
+    with pytest.raises(ValueError, match="diffusivity"):
+        solve_heat_dns(_uniform_field(0.0), diffusivity, nx=51)
+
+
 def test_dns_spatial_convergence_order():
     # halving dx (dt tied to dx^2) divides the error by ~4
     def err(nx):
