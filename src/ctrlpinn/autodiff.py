@@ -3,7 +3,8 @@
 Two cooperating mechanisms:
 
 * forward jets -- every hidden quantity is carried together with its requested
-  input partials (d/dt, d/dx_i, d2/dx_i2) and propagated layer by layer with
+  input partials (d/dt, d/dx_i, and the sum of the pure second partials
+  d2/dx_i2, i.e. the Laplacian) and propagated layer by layer with
   closed-form rules, so output derivatives are exact for the network function
   rather than finite-difference estimates;
 * reverse accumulation -- scalar losses assembled from jet components (via the
@@ -18,7 +19,7 @@ constant multiple of a plain forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,14 +62,18 @@ elu_d3 = elu_d2
 
 
 def elu_factors(z):
-    """(value, d1, d2) of ELU at ``z`` using a single exponential pass."""
-    pos = z > 0.0
+    """(value, d1, d2) of ELU at ``z`` using a single exponential pass.
+
+    With e = exp(min(z, 0)): d1 = e (exactly 1 on the positive branch),
+    d2 = e - [z > 0] and value = (e - 1) + max(z, 0).  On each branch one
+    term is exactly zero, so these equal the branchwise definitions bit for
+    bit, including at z = +-0.
+    """
     e = np.exp(np.minimum(z, 0.0))
-    d2 = np.where(pos, 0.0, e)
-    d1 = d2 + pos  # adds 1 exactly where the positive branch holds
-    e -= 1.0
-    value = np.where(pos, z, e)
-    return value, d1, d2
+    d2 = e - (z > 0.0)
+    value = e - 1.0
+    value += np.maximum(z, 0.0)
+    return value, e, d2
 
 
 # --------------------------------------------------------------------------
@@ -79,16 +84,32 @@ def elu_factors(z):
 class JetSpec:
     """Which input partials a forward pass should carry.
 
-    Only first order in t and up to second (pure) order in each spatial
-    coordinate are supported; nothing in the optimality system needs more.
+    First order in t; up to ``space_order`` in the spatial coordinates listed
+    in ``axes`` (default: all of them).  At second order a jet carries one
+    slot, the sum of the pure second partials over those axes: the Laplacian
+    when every axis is carried.  Nothing in the optimality system needs more.
     """
 
     time: bool = True
     space_order: int = 2
+    axes: tuple | None = None
 
     def __post_init__(self):
         if self.space_order not in (0, 1, 2):
             raise ValueError(f"space_order must be 0, 1 or 2, got {self.space_order}")
+        if self.axes is not None:
+            axes = tuple(self.axes)
+            if len(set(axes)) != len(axes) or any(not isinstance(i, int) or i < 0 for i in axes):
+                raise ValueError(f"axes must be distinct nonnegative integers, got {self.axes!r}")
+            object.__setattr__(self, "axes", axes)
+
+    def spatial_axes(self, spatial_dim: int) -> tuple:
+        """The carried spatial axes for inputs with ``spatial_dim`` coordinates."""
+        if self.axes is None:
+            return tuple(range(spatial_dim))
+        if any(i >= spatial_dim for i in self.axes):
+            raise ValueError(f"axes {self.axes} out of range for {spatial_dim} spatial coordinates")
+        return self.axes
 
 
 FULL_JETS = JetSpec(time=True, space_order=2)
@@ -116,13 +137,14 @@ class HeadJets:
     Entries are ``Var`` tape leaves during training, or plain arrays when a
     closed-form oracle stands in for the network.  Indexing convention:
     ``value[j]`` is component j over the batch, ``d_dx[j][i]`` its first
-    partial along spatial coordinate i.
+    partial along spatial coordinate i, and ``laplacian[j]`` the sum of its
+    pure second partials over the spatial coordinates.
     """
 
     value: list
     d_dt: list | None = None
     d_dx: list | None = None
-    d2_dx2: list | None = None
+    laplacian: list | None = None
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +320,9 @@ def jet_eval(params, point, spec: JetSpec = FULL_JETS):
 
     ``point`` is ``(t, x)`` with ``x`` an iterable of spatial coordinates, or
     a bare float ``t`` for problems without space.  Returns a dict with keys
-    ``"y"``, ``"u"``, ``"lam"``.
+    ``"y"``, ``"u"``, ``"lam"``.  A tape's second-order slot sums over its
+    axes, so at second order one single-axis tape runs per axis to give the
+    per-axis ``d2_dx2``.
     """
     from . import network  # runtime import: network builds on this module
 
@@ -312,18 +336,22 @@ def jet_eval(params, point, spec: JetSpec = FULL_JETS):
         x_arr = np.zeros((1, 0))
     else:
         x_arr = np.asarray(x, dtype=float).reshape(1, sd)
-    tape = network.NetworkTape(params, t_arr, x_arr, spec)
+    per_axis = spec.space_order == 2 and sd > 0
+    tape_axes = [(i,) for i in range(sd)] if per_axis else [None]
+    tapes = [network.NetworkTape(params, t_arr, x_arr, replace(spec, axes=axes)) for axes in tape_axes]
     jets = {}
     for name in ("y", "u", "lam"):
-        bundle = tape.head_bundle(name)
-        value = bundle.val[:, 0].copy()
-        d_dt = bundle.dt[:, 0].copy() if bundle.dt is not None else None
+        bundles = [tape.head_bundle(name) for tape in tapes]
+        first = bundles[0]
+        value = first.val[:, 0].copy()
+        d_dt = first.dt[:, 0].copy() if first.dt is not None else None
         d_dx = None
         d2_dx2 = None
         if spec.space_order >= 1:
-            d_dx = np.stack([d[:, 0] for d in bundle.dx], axis=1) if bundle.dx else np.zeros((value.size, 0))
+            columns = [d[:, 0] for b in bundles for d in b.dx]
+            d_dx = np.stack(columns, axis=1) if columns else np.zeros((value.size, 0))
         if spec.space_order == 2:
-            d2_dx2 = np.stack([d[:, 0] for d in bundle.dxx], axis=1) if bundle.dxx else np.zeros((value.size, 0))
+            d2_dx2 = np.stack([b.lap[:, 0] for b in bundles], axis=1) if per_axis else np.zeros((value.size, 0))
         jets[name] = Jet(value=value, d_dt=d_dt, d_dx=d_dx, d2_dx2=d2_dx2)
     return jets
 

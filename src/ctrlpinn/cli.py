@@ -1,9 +1,10 @@
 """Command-line entry point: train, validate, plot, export.
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence,
-4 missing run artifacts.  ``CTRLPINN_THREADS`` caps BLAS threads (default 1;
-set before numpy is first imported, which is why the heavy imports below
-live inside functions).
+4 missing or unusable run artifacts (no checkpoint, an unreadable one, or
+one whose architecture does not fit the run's problem).
+``CTRLPINN_THREADS`` caps BLAS threads (default 1; set before numpy is first
+imported, which is why the heavy imports below live inside functions).
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _emit_run_artifacts(problem, record, out: Path):
         t = np.linspace(problem.domain.t0, problem.domain.tf, nt)
         x = np.linspace(*problem.domain.x_bounds[0], nx)
         tt, xx = np.meshgrid(t, x, indexing="ij")
-        y, u, lam = _forward_chunked(params, tt.ravel(), xx.reshape(-1, 1))
+        y, u, _ = _forward_chunked(params, tt.ravel(), xx.reshape(-1, 1), adjoint=False)
         y_field = y[0].reshape(nt, nx)
         u_field = u[0].reshape(nt, nx)
         ControlField(t[0], t[-1], x[0], x[-1], y_field).to_csv(out / "final_y.csv")
@@ -211,7 +212,7 @@ def _emit_run_artifacts(problem, record, out: Path):
         g1, g2 = np.meshgrid(x1, x2, indexing="ij")
         pts = np.column_stack([g1.ravel(), g2.ravel()])
         tf = problem.domain.tf
-        y, u, lam = _forward_chunked(params, np.full(pts.shape[0], tf), pts)
+        y, u, _ = _forward_chunked(params, np.full(pts.shape[0], tf), pts, adjoint=False)
         y2 = y[1].reshape(n, n)
         target = problem.y2_target(tf, g1, g2)
         err = np.abs(y2 - target)
@@ -233,30 +234,45 @@ def _emit_run_artifacts(problem, record, out: Path):
 
 
 def _load_run(run_dir):
-    from .config import parse_config
+    """(run, problem, params) of a trained run directory, or an exit code.
+
+    Errors are printed; the exit code says which kind (see the module
+    docstring).
+    """
+    from .config import ConfigError, parse_config
     from .trainer import load_checkpoint
 
     run = Path(run_dir)
     ckpt = run / "checkpoint_final.json"
     cfg = run / "config.resolved.cfg"
     if not ckpt.exists() or not cfg.exists():
-        raise FileNotFoundError(f"{run_dir} lacks checkpoint_final.json / config.resolved.cfg")
-    config = parse_config(cfg)
-    params, _, _, _ = load_checkpoint(ckpt)
-    return run, config, params
+        print(f"error: {run_dir} lacks checkpoint_final.json / config.resolved.cfg", file=sys.stderr)
+        return EXIT_MISSING
+    try:
+        problem = parse_config(cfg).make_problem()
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
+        params, _, _, _ = load_checkpoint(ckpt)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {ckpt} is not a readable checkpoint: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_MISSING
+    if params.config != problem.arch_config():
+        print(
+            f"error: {ckpt} holds a network for {params.config}, but problem "
+            f"{problem.name!r} needs {problem.arch_config()}",
+            file=sys.stderr,
+        )
+        return EXIT_MISSING
+    return run, problem, params
 
 
 def cmd_validate(args) -> int:
-    from .config import ConfigError
-
-    try:
-        run, config, params = _load_run(args.run_dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    loaded = _load_run(args.run_dir)
+    if isinstance(loaded, int):
+        return loaded
+    run, problem, params = loaded
 
     import numpy as np
 
@@ -273,7 +289,6 @@ def cmd_validate(args) -> int:
         write_error_table,
     )
 
-    problem = config.make_problem()
     out = run / "validation"
     out.mkdir(exist_ok=True)
     report = {"problem": problem.name}
@@ -299,7 +314,7 @@ def cmd_validate(args) -> int:
         t = np.linspace(problem.domain.t0, problem.domain.tf, nt)
         x = np.linspace(*problem.domain.x_bounds[0], nx)
         tt, xx = np.meshgrid(t, x, indexing="ij")
-        _, u, _ = _forward_chunked(params, tt.ravel(), xx.reshape(-1, 1))
+        _, u, _ = _forward_chunked(params, tt.ravel(), xx.reshape(-1, 1), adjoint=False)
         field_u = ControlField(t[0], t[-1], x[0], x[-1], u[0].reshape(nt, nx))
         field_u.to_csv(out / "control.csv")
         dns = solve_heat_dns(field_u, problem.diffusivity, nx=nx, initial_state=problem.initial_profile)
@@ -378,33 +393,26 @@ def cmd_plot(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .config import ConfigError
-
-    try:
-        run, config, params = _load_run(args.run_dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    loaded = _load_run(args.run_dir)
+    if isinstance(loaded, int):
+        return loaded
+    run, problem, params = loaded
 
     import numpy as np
 
     from .trainer import _forward_chunked
     from .validators import ControlField
 
-    problem = config.make_problem()
     n = args.resolution
     t = np.linspace(problem.domain.t0, problem.domain.tf, n)
     if problem.domain.spatial_dim == 0:
-        y, u, lam = _forward_chunked(params, t, np.zeros((t.size, 0)))
+        y, u, _ = _forward_chunked(params, t, np.zeros((t.size, 0)), adjoint=False)
         ControlField(t[0], t[-1], 0.0, 1.0, u[0][:, None]).to_csv(run / "export_u.csv")
         ControlField(t[0], t[-1], 0.0, 1.0, y[0][:, None]).to_csv(run / "export_y.csv")
     elif problem.domain.spatial_dim == 1:
         x = np.linspace(*problem.domain.x_bounds[0], n)
         tt, xx = np.meshgrid(t, x, indexing="ij")
-        y, u, _ = _forward_chunked(params, tt.ravel(), xx.reshape(-1, 1))
+        y, u, _ = _forward_chunked(params, tt.ravel(), xx.reshape(-1, 1), adjoint=False)
         ControlField(t[0], t[-1], x[0], x[-1], u[0].reshape(n, n)).to_csv(run / "export_u.csv")
         ControlField(t[0], t[-1], x[0], x[-1], y[0].reshape(n, n)).to_csv(run / "export_y.csv")
     else:

@@ -7,11 +7,16 @@ produces lam.  Placing the u layers after the y layers (and lam after both)
 creates the backpropagation paths every coupled derivative of the optimality
 system needs.  The same depths and widths are used for every benchmark.
 
-Internally a batch is carried as one array of shape (width, n_components,
-n_points): component 0 is the value, the rest are the requested input
-partials.  Stacking lets each layer touch all components with a single
-matrix product, and lets the reverse pass accumulate each weight gradient
-with one product as well.
+A training tape (:class:`NetworkTape`) carries each stage of the network as
+a bundle of per-component (width, n_points) arrays: the value, then the
+requested input partials d/dt and d/dx_i, then one second-order slot that
+holds the sum of the pure second partials over the carried axes (the
+Laplacian y_x1x1 + y_x2x2 in 2-D, y_xx in 1-D).  Each layer applies one
+matrix product per component.  The tape runs its points in column blocks of
+at most ``BLOCK_POINTS``, so that each component of a block stays in cache
+through a layer's elementwise rules; only the head outputs are joined back
+into whole-batch arrays.  Plain value passes (:func:`forward_values`) carry
+the value alone and can skip the adjoint branch.
 """
 
 from __future__ import annotations
@@ -155,27 +160,44 @@ def init_params(config: ArchitectureConfig, seed: int) -> ControlPinnParams:
 
 
 # --------------------------------------------------------------------------
-# Jet propagation.  A bundle carries, for one stage of the network, the batch
-# of values plus whichever input partials the JetSpec requested, each as its
-# own (width, n_points) array.  Keeping components separate keeps every
-# matrix product at the BLAS sweet spot for these widths.
+# Jet propagation.  A bundle carries one stage of the network for one column
+# block of points: the values plus whichever input partials the JetSpec
+# requested, each as its own (width, n_points) array.  The second-order slot
+# ``lap`` is the sum of the pure second partials over the carried axes, so
+# its rules are
+#
+#   forward:  lap_out = d1 * lap_z + d2 * sum_i zx_i^2
+#   reverse:  the per-axis adjoint rules, summed over i,
+#
+# with d1, d2 the activation's first two derivatives at z (for ELU the third
+# equals the second).  Components stay separate: every product then runs at
+# the BLAS shape (width, width) x (width, block), and stacking them into one
+# (width, k * n_points) array measured slower for these widths.
+
+# Columns per block.  A (100, 256) component is 200 KB, so the few arrays
+# that one elementwise rule touches stay in a 2 MiB L2; at (100, 1000) they
+# spill.  Blocking moves only the order of the gradient's sums over points.
+BLOCK_POINTS = 256
+
+HEADS = ("y", "u", "lam")
 
 
 class _Bundle:
-    __slots__ = ("val", "dt", "dx", "dxx")
+    __slots__ = ("val", "dt", "dx", "lap")
 
-    def __init__(self, val, dt=None, dx=(), dxx=()):
+    def __init__(self, val, dt=None, dx=(), lap=None):
         self.val = val
         self.dt = dt
         self.dx = list(dx)
-        self.dxx = list(dxx)
+        self.lap = lap
 
     def comps(self):
         yield self.val
         if self.dt is not None:
             yield self.dt
         yield from self.dx
-        yield from self.dxx
+        if self.lap is not None:
+            yield self.lap
 
 
 def _identity_factors(z):
@@ -193,15 +215,15 @@ def _input_bundle(t, x, spec: JetSpec):
     if spec.time:
         dt = np.zeros((1 + sd, n))
         dt[0] = 1.0
-    dx, dxx = [], []
+    dx, lap = [], None
     if spec.space_order >= 1:
-        for i in range(sd):
+        for i in spec.spatial_axes(sd):
             e = np.zeros((1 + sd, n))
             e[1 + i] = 1.0
             dx.append(e)
-    if spec.space_order == 2:
-        dxx = [np.zeros((1 + sd, n)) for _ in range(sd)]
-    return _Bundle(val, dt, dx, dxx)
+    if spec.space_order == 2 and dx:
+        lap = np.zeros((1 + sd, n))
+    return _Bundle(val, dt, dx, lap)
 
 
 def _dense_fwd(dense: Dense, j: _Bundle, label: str) -> _Bundle:
@@ -213,24 +235,26 @@ def _dense_fwd(dense: Dense, j: _Bundle, label: str) -> _Bundle:
         val,
         dense.w @ j.dt if j.dt is not None else None,
         [dense.w @ d for d in j.dx],
-        [dense.w @ d for d in j.dxx],
+        dense.w @ j.lap if j.lap is not None else None,
     )
 
 
 def _act_fwd(z: _Bundle, factors):
+    """Activation output bundle plus what the reverse pass needs.
+
+    Returns ``(out, d1, d2, sq)`` where ``sq`` is sum_i zx_i^2 (None without
+    a second-order slot).
+    """
     val, d1, d2 = factors(z.val)
-    dxx = []
-    for zx, zxx in zip(z.dx, z.dxx):
-        out = d1 * zxx
-        tmp = zx * zx
-        tmp *= d2
-        out += tmp
-        dxx.append(out)
-    return (
-        _Bundle(val, d1 * z.dt if z.dt is not None else None, [d1 * d for d in z.dx], dxx),
-        d1,
-        d2,
-    )
+    lap = sq = None
+    if z.lap is not None:
+        sq = z.dx[0] * z.dx[0]
+        for zx in z.dx[1:]:
+            sq += zx * zx
+        lap = d1 * z.lap
+        lap += sq * d2
+    out = _Bundle(val, d1 * z.dt if z.dt is not None else None, [d1 * d for d in z.dx], lap)
+    return out, d1, d2, sq
 
 
 def _dense_bwd(dense: Dense, j_in: _Bundle, g_out: _Bundle, grads) -> _Bundle:
@@ -243,17 +267,18 @@ def _dense_bwd(dense: Dense, j_in: _Bundle, g_out: _Bundle, grads) -> _Bundle:
         wt @ g_out.val,
         wt @ g_out.dt if g_out.dt is not None else None,
         [wt @ d for d in g_out.dx],
-        [wt @ d for d in g_out.dxx],
+        wt @ g_out.lap if g_out.lap is not None else None,
     )
 
 
-def _act_bwd(z: _Bundle, d1, d2, g: _Bundle) -> _Bundle:
+def _act_bwd(z: _Bundle, d1, d2, sq, g: _Bundle) -> _Bundle:
     """Pull adjoints back through the activation's jet rules.
 
     Mutates ``g`` in place (its arrays are owned by the reverse pass).  For
     ELU the third derivative equals the second (e^z on the negative branch,
     0 elsewhere), so d2 serves for both factors below; the identity
-    activation has both identically zero.
+    activation has both identically zero.  The value adjoint collects the
+    time term, then every first-partial term, then the second-order term.
     """
     gv = g.val
     gv *= d1
@@ -262,47 +287,119 @@ def _act_bwd(z: _Bundle, d1, d2, g: _Bundle) -> _Bundle:
         tmp *= g.dt
         gv += tmp
         g.dt *= d1
-    for i in range(len(g.dx)):
-        zx = z.dx[i]
-        tmp = d2 * zx
-        tmp *= g.dx[i]
+    d2_zx = []
+    for zx, gx in zip(z.dx, g.dx):
+        a = d2 * zx
+        gv += a * gx
+        gx *= d1
+        d2_zx.append(a)
+    if g.lap is not None:
+        gl = g.lap
+        tmp = sq + z.lap
+        tmp *= d2
+        tmp *= gl
         gv += tmp
-        g.dx[i] *= d1
-        if g.dxx:
-            gxx = g.dxx[i]
-            tmp = zx * zx
-            tmp += z.dxx[i]
-            tmp *= d2
-            tmp *= gxx
-            gv += tmp
-            tmp = d2 * zx
-            tmp *= gxx
-            tmp *= 2.0
-            g.dx[i] += tmp
-            g.dxx[i] *= d1
+        for a, gx in zip(d2_zx, g.dx):
+            a *= gl
+            a *= 2.0
+            gx += a
+        gl *= d1
     return g
+
+
+def _merge(bundles, stack) -> _Bundle:
+    """Combine bundles componentwise: ``np.vstack`` stacks the inputs of a
+    branch that reads several stages, ``np.hstack`` joins column blocks."""
+    first = bundles[0]
+    return _Bundle(
+        stack([b.val for b in bundles]),
+        stack([b.dt for b in bundles]) if first.dt is not None else None,
+        [stack([b.dx[i] for b in bundles]) for i in range(len(first.dx))],
+        stack([b.lap for b in bundles]) if first.lap is not None else None,
+    )
 
 
 def _bundle_iadd_rows(target: _Bundle, source: _Bundle, lo: int, hi: int):
     """target += source[lo:hi] componentwise (in place)."""
-    target.val += source.val[lo:hi]
-    if target.dt is not None:
-        target.dt += source.dt[lo:hi]
-    for i in range(len(target.dx)):
-        target.dx[i] += source.dx[i][lo:hi]
-    for i in range(len(target.dxx)):
-        target.dxx[i] += source.dxx[i][lo:hi]
+    for t_c, s_c in zip(target.comps(), source.comps()):
+        t_c += s_c[lo:hi]
     return target
+
+
+class _Block:
+    """The recorded jet pass of one column block.
+
+    ``records[branch]`` lists, per hidden layer, the layer's input bundle,
+    its pre-activation bundle and the activation factors; ``head_in[name]``
+    is the hidden bundle that feeds head ``name``, whose output bundle is
+    ``heads[name]``.
+    """
+
+    __slots__ = ("records", "head_in", "heads")
+
+    def __init__(self, params: ControlPinnParams, inp: _Bundle, factors):
+        self.records = {}
+
+        def run_branch(label, denses, bundle):
+            records = []
+            for i, dense in enumerate(denses):
+                z = _dense_fwd(dense, bundle, f"{label}.{i}")
+                out, d1, d2, sq = _act_fwd(z, factors)
+                records.append((bundle, z, d1, d2, sq))
+                bundle = out
+            self.records[label] = records
+            return bundle
+
+        h_trunk = run_branch("trunk", params.trunk, inp)
+        y = _dense_fwd(params.y_head, h_trunk, "y_head")
+        h_control = run_branch("control", params.control, _merge([y, h_trunk], np.vstack))
+        u = _dense_fwd(params.u_head, h_control, "u_head")
+        h_adjoint = run_branch("adjoint", params.adjoint, _merge([y, u, h_control], np.vstack))
+        lam = _dense_fwd(params.lam_head, h_adjoint, "lam_head")
+        self.head_in = {"y": h_trunk, "u": h_control, "lam": h_adjoint}
+        self.heads = {"y": y, "u": u, "lam": lam}
+
+    def backward(self, params: ControlPinnParams, g_heads, grads):
+        """Accumulate this block's weight gradients into ``grads``.
+
+        ``g_heads[name]`` holds the adjoints of head ``name``'s bundle over
+        the block's columns; they are consumed in place.
+        """
+        n_y, n_u = params.config.n_y, params.config.n_u
+
+        def branch_bwd(label, denses, g_out):
+            records = self.records[label]
+            for i in range(len(denses) - 1, -1, -1):
+                j_in, z, d1, d2, sq = records[i]
+                g_z = _act_bwd(z, d1, d2, sq, g_out)
+                g_out = _dense_bwd(denses[i], j_in, g_z, grads[f"{label}.{i}"])
+            return g_out
+
+        g_adj_hidden = _dense_bwd(params.lam_head, self.head_in["lam"], g_heads["lam"], grads["lam_head"])
+        g_adj_in = branch_bwd("adjoint", params.adjoint, g_adj_hidden)
+
+        g_u = _bundle_iadd_rows(g_heads["u"], g_adj_in, n_y, n_y + n_u)
+        g_ctl_hidden = _dense_bwd(params.u_head, self.head_in["u"], g_u, grads["u_head"])
+        g_ctl_hidden = _bundle_iadd_rows(g_ctl_hidden, g_adj_in, n_y + n_u, n_y + n_u + HIDDEN_WIDTH)
+        g_ctl_in = branch_bwd("control", params.control, g_ctl_hidden)
+
+        g_y = _bundle_iadd_rows(g_heads["y"], g_adj_in, 0, n_y)
+        g_y = _bundle_iadd_rows(g_y, g_ctl_in, 0, n_y)
+        g_trunk_hidden = _dense_bwd(params.y_head, self.head_in["y"], g_y, grads["y_head"])
+        g_trunk_hidden = _bundle_iadd_rows(g_trunk_hidden, g_ctl_in, n_y, n_y + HIDDEN_WIDTH)
+        branch_bwd("trunk", params.trunk, g_trunk_hidden)
 
 
 class NetworkTape:
     """One recorded jet forward pass over a batch of points.
 
-    Head jets are exposed as tape leaves (`Var` objects, one per output
-    component and derivative slot); once a scalar loss built from them has
-    run ``backward()``, :meth:`parameter_gradient` folds the leaf adjoints
-    back through every layer into a flat gradient.  All reductions use a
-    fixed order, so results are bitwise reproducible.
+    The points run in column blocks of at most ``BLOCK_POINTS``; each block
+    keeps its own records.  Head jets are exposed as tape leaves (`Var`
+    objects, one per output component and derivative slot) spanning the
+    whole batch; once a scalar loss built from them has run ``backward()``,
+    :meth:`parameter_gradient` folds the leaf adjoints back through every
+    block, in block order, into a flat gradient.  All reductions use a fixed
+    order, so results are bitwise reproducible.
     """
 
     def __init__(self, params: ControlPinnParams, t, x, spec: JetSpec, activation: str = "elu"):
@@ -312,32 +409,12 @@ class NetworkTape:
         t = np.asarray(t, dtype=float)
         sd = params.config.spatial_dim
         x = np.zeros((t.size, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(t.size, sd)
-
-        def run_branch(label, denses, bundle):
-            records = []
-            for i, dense in enumerate(denses):
-                z = _dense_fwd(dense, bundle, f"{label}.{i}")
-                out, d1, d2 = _act_fwd(z, factors)
-                records.append((bundle, z, d1, d2))
-                bundle = out
-            return records, bundle
-
-        inp = _input_bundle(t, x, spec)
-        self._trunk_records, h_trunk = run_branch("trunk", params.trunk, inp)
-        self._y_in = h_trunk
-        y = _dense_fwd(params.y_head, h_trunk, "y_head")
-
-        self._control_in = _concat([y, h_trunk])
-        self._control_records, h_control = run_branch("control", params.control, self._control_in)
-        self._u_in = h_control
-        u = _dense_fwd(params.u_head, h_control, "u_head")
-
-        self._adjoint_in = _concat([y, u, h_control])
-        self._adjoint_records, h_adjoint = run_branch("adjoint", params.adjoint, self._adjoint_in)
-        self._lam_in = h_adjoint
-        lam = _dense_fwd(params.lam_head, h_adjoint, "lam_head")
-
-        self._bundles = {"y": y, "u": u, "lam": lam}
+        self._bounds = [(lo, min(lo + BLOCK_POINTS, t.size)) for lo in range(0, max(t.size, 1), BLOCK_POINTS)]
+        self._blocks = [_Block(params, _input_bundle(t[lo:hi], x[lo:hi], spec), factors) for lo, hi in self._bounds]
+        self._bundles = {}
+        for name in HEADS:
+            parts = [block.heads[name] for block in self._blocks]
+            self._bundles[name] = parts[0] if len(parts) == 1 else _merge(parts, np.hstack)
         self._leaves = {name: self._make_leaves(b) for name, b in self._bundles.items()}
 
     def _make_leaves(self, bundle: _Bundle) -> HeadJets:
@@ -346,7 +423,7 @@ class NetworkTape:
             value=[Var(bundle.val[j]) for j in range(rows)],
             d_dt=[Var(bundle.dt[j]) for j in range(rows)] if bundle.dt is not None else None,
             d_dx=[[Var(d[j]) for d in bundle.dx] for j in range(rows)] if bundle.dx else None,
-            d2_dx2=[[Var(d[j]) for d in bundle.dxx] for j in range(rows)] if bundle.dxx else None,
+            laplacian=[Var(bundle.lap[j]) for j in range(rows)] if bundle.lap is not None else None,
         )
 
     def head(self, name: str) -> HeadJets:
@@ -357,69 +434,33 @@ class NetworkTape:
 
     # -- reverse accumulation -------------------------------------------------
 
-    def _leaf_adjoints(self, name: str) -> _Bundle:
+    def _leaf_adjoints(self, name: str, lo: int, hi: int) -> _Bundle:
+        """Adjoints of head ``name``'s leaves over columns [lo, hi)."""
         jets = self._leaves[name]
-        ref = self._bundles[name]
-        n = ref.val.shape[1]
+        rows = len(jets.value)
 
         def stack(vars_):
-            return np.vstack([v.grad if v.grad is not None else np.zeros(n) for v in vars_])
+            return np.vstack([v.grad[lo:hi] if v.grad is not None else np.zeros(hi - lo) for v in vars_])
 
-        rows = len(jets.value)
+        n_dx = len(self._bundles[name].dx)
         return _Bundle(
             stack(jets.value),
-            stack(jets.d_dt) if jets.d_dt is not None else (np.zeros_like(ref.dt) if ref.dt is not None else None),
-            [stack([jets.d_dx[j][i] for j in range(rows)]) for i in range(len(ref.dx))]
-            if jets.d_dx is not None
-            else [np.zeros_like(d) for d in ref.dx],
-            [stack([jets.d2_dx2[j][i] for j in range(rows)]) for i in range(len(ref.dxx))]
-            if jets.d2_dx2 is not None
-            else [np.zeros_like(d) for d in ref.dxx],
+            stack(jets.d_dt) if jets.d_dt is not None else None,
+            [stack([jets.d_dx[j][i] for j in range(rows)]) for i in range(n_dx)],
+            stack(jets.laplacian) if jets.laplacian is not None else None,
         )
 
     def parameter_gradient(self) -> np.ndarray:
         params = self.params
-        config = params.config
         grads = {label: (np.zeros_like(d.w), np.zeros_like(d.b)) for label, d in params.layers()}
-
-        def branch_bwd(label, denses, records, g_out):
-            for i in range(len(denses) - 1, -1, -1):
-                j_in, z, d1, d2 = records[i]
-                g_z = _act_bwd(z, d1, d2, g_out)
-                g_out = _dense_bwd(denses[i], j_in, g_z, grads[f"{label}.{i}"])
-            return g_out
-
-        g_lam = self._leaf_adjoints("lam")
-        g_adj_hidden = _dense_bwd(params.lam_head, self._lam_in, g_lam, grads["lam_head"])
-        g_adj_in = branch_bwd("adjoint", params.adjoint, self._adjoint_records, g_adj_hidden)
-
-        n_y, n_u = config.n_y, config.n_u
-        g_u = _bundle_iadd_rows(self._leaf_adjoints("u"), g_adj_in, n_y, n_y + n_u)
-        g_ctl_hidden = _dense_bwd(params.u_head, self._u_in, g_u, grads["u_head"])
-        g_ctl_hidden = _bundle_iadd_rows(g_ctl_hidden, g_adj_in, n_y + n_u, n_y + n_u + HIDDEN_WIDTH)
-        g_ctl_in = branch_bwd("control", params.control, self._control_records, g_ctl_hidden)
-
-        g_y = _bundle_iadd_rows(self._leaf_adjoints("y"), g_adj_in, 0, n_y)
-        g_y = _bundle_iadd_rows(g_y, g_ctl_in, 0, n_y)
-        g_trunk_hidden = _dense_bwd(params.y_head, self._y_in, g_y, grads["y_head"])
-        g_trunk_hidden = _bundle_iadd_rows(g_trunk_hidden, g_ctl_in, n_y, n_y + HIDDEN_WIDTH)
-        branch_bwd("trunk", params.trunk, self._trunk_records, g_trunk_hidden)
-
+        for block, (lo, hi) in zip(self._blocks, self._bounds):
+            block.backward(params, {name: self._leaf_adjoints(name, lo, hi) for name in HEADS}, grads)
         flat = []
         for label, _ in params.layers():
             gw, gb = grads[label]
             flat.append(gw.ravel())
             flat.append(gb)
         return np.concatenate(flat)
-
-
-def _concat(bundles) -> _Bundle:
-    return _Bundle(
-        np.vstack([b.val for b in bundles]),
-        np.vstack([b.dt for b in bundles]) if bundles[0].dt is not None else None,
-        [np.vstack([b.dx[i] for b in bundles]) for i in range(len(bundles[0].dx))],
-        [np.vstack([b.dxx[i] for b in bundles]) for i in range(len(bundles[0].dxx))],
-    )
 
 
 # --------------------------------------------------------------------------
@@ -442,8 +483,12 @@ def _act_values(z, activation):
     return out
 
 
-def forward_values(params: ControlPinnParams, t, x=None, activation: str = "elu"):
-    """Head values over a batch: arrays of shape (n_y, n), (n_u, n), (n_y, n)."""
+def forward_values(params: ControlPinnParams, t, x=None, activation: str = "elu", adjoint: bool = True):
+    """Head values over a batch: arrays of shape (n_y, n), (n_u, n), (n_y, n).
+
+    With ``adjoint=False`` the adjoint branch is not run and lam is None; y
+    and u are computed before it, so they do not change.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     sd = params.config.spatial_dim
     x = np.zeros((t.size, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(t.size, sd)
@@ -462,9 +507,13 @@ def forward_values(params: ControlPinnParams, t, x=None, activation: str = "elu"
     y = params.y_head.w @ h + params.y_head.b[:, None]
     c = run("control", params.control, np.vstack([y, h]))
     u = params.u_head.w @ c + params.u_head.b[:, None]
-    a = run("adjoint", params.adjoint, np.vstack([y, u, c]))
-    lam = params.lam_head.w @ a + params.lam_head.b[:, None]
-    for name, out in (("y_head", y), ("u_head", u), ("lam_head", lam)):
+    outputs = [("y_head", y), ("u_head", u)]
+    lam = None
+    if adjoint:
+        a = run("adjoint", params.adjoint, np.vstack([y, u, c]))
+        lam = params.lam_head.w @ a + params.lam_head.b[:, None]
+        outputs.append(("lam_head", lam))
+    for name, out in outputs:
         if not np.isfinite(out).all():
             raise EvaluationError(f"non-finite output in {name}", layer=name)
     return y, u, lam

@@ -7,9 +7,11 @@ self-adjoint under homogeneous Dirichlet data) instead of being transposed
 numerically, so residuals stay pointwise and cheap.
 
 Residual methods are written against the jet-bundle indexing convention
-``jet.value[j]``, ``jet.d_dx[j][i]``: they work unchanged whether the entries
-are tape ``Var`` leaves (training), batched arrays (closed-form oracles), or
-scalars (single-point checks).
+``jet.value[j]``, ``jet.d_dx[j][i]``, ``jet.laplacian[j]``: they work
+unchanged whether the entries are tape ``Var`` leaves (training), batched
+arrays (closed-form oracles), or scalars (single-point checks).  The spatial
+operators read only the Laplacian, which the training tape carries as one
+slot.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class ControlProblem:
     domain: Domain
     n_y: int
     n_u: int
+    probe_reads_adjoint = True  # False: probe_report ignores lam, so probes skip it
 
     def arch_config(self) -> ArchitectureConfig:
         return ArchitectureConfig(self.domain.spatial_dim, self.n_y, self.n_u)
@@ -259,6 +262,7 @@ class HeatProblem(ControlProblem):
     name = "heat"
     n_y = 1
     n_u = 1
+    probe_reads_adjoint = False
 
     def __init__(self, diffusivity: float = 0.1, interior_tracking: bool = False):
         self.domain = Domain(0.0, 1.0, ((0.0, 1.0),))
@@ -288,12 +292,12 @@ class HeatProblem(ControlProblem):
     # operators ---------------------------------------------------------------
 
     def forward_residual(self, y, u):
-        return [y.d_dt[0] - (self.diffusivity * y.d2_dx2[0][0] + u[0])]
+        return [y.d_dt[0] - (self.diffusivity * y.laplacian[0] + u[0])]
 
     def adjoint_residual(self, lam, y, u, t=None, x=None):
         # The running cost is independent of y in the interior, so only the
         # (self-adjoint) diffusion term appears.
-        return [lam.d_dt[0] + self.diffusivity * lam.d2_dx2[0][0]]
+        return [lam.d_dt[0] + self.diffusivity * lam.laplacian[0]]
 
     def optimality_residual(self, lam, y, u):
         return [lam[0] + 2.0 * u[0]]
@@ -379,6 +383,7 @@ class PredatorPreyProblem(ControlProblem):
     name = "predator_prey"
     n_y = 2
     n_u = 1
+    probe_reads_adjoint = False
 
     def __init__(self, track_y1: bool = False, target_supervision: bool = False):
         self.domain = Domain(0.0, 1.0, ((0.0, 1.0), (0.0, 1.0)))
@@ -398,24 +403,20 @@ class PredatorPreyProblem(ControlProblem):
 
     # operators ---------------------------------------------------------------
 
-    @staticmethod
-    def _laplacian(jet, j):
-        return jet.d2_dx2[j][0] + jet.d2_dx2[j][1]
-
     def forward_residual(self, y, u):
         # u1 is fixed to zero, so only the prey equation carries the control.
         return [
-            y.d_dt[0] - (self._laplacian(y, 0) - y.value[0]),
-            y.d_dt[1] - (self._laplacian(y, 1) + u[0] + y.value[1]),
+            y.d_dt[0] - (y.laplacian[0] - y.value[0]),
+            y.d_dt[1] - (y.laplacian[1] + u[0] + y.value[1]),
         ]
 
     def adjoint_residual(self, lam, y, u, t=None, x=None):
-        r1 = lam.d_dt[0] + self._laplacian(lam, 0) - lam.value[0]
+        r1 = lam.d_dt[0] + lam.laplacian[0] - lam.value[0]
         if self.track_y1:
             r1 = r1 + 2.0 * (y.value[0] - self.y1_initial(x[:, 0], x[:, 1]))
         r2 = (
             lam.d_dt[1]
-            + self._laplacian(lam, 1)
+            + lam.laplacian[1]
             + lam.value[1]
             + 2.0 * (y.value[1] - self.y2_target(t, x[:, 0], x[:, 1]))
         )

@@ -113,24 +113,25 @@ class RunRecord:
     start_epoch: int = 0
 
 
-def _forward_chunked(params, t, x, chunk: int = 2048):
+def _forward_chunked(params, t, x, chunk: int = 2048, adjoint: bool = True):
     # (100, 2048) activations stay in cache: a third faster than 8192-point
     # chunks on a 1001 x 1001 grid, and each column's value does not depend
-    # on the chunk size.
+    # on the chunk size.  Without ``adjoint`` lam is None (see forward_values).
     ys, us, lams = [], [], []
     for lo in range(0, t.size, chunk):
         hi = lo + chunk
-        y, u, lam = forward_values(params, t[lo:hi], x[lo:hi])
+        y, u, lam = forward_values(params, t[lo:hi], x[lo:hi], adjoint=adjoint)
         ys.append(y)
         us.append(u)
         lams.append(lam)
-    return np.concatenate(ys, axis=1), np.concatenate(us, axis=1), np.concatenate(lams, axis=1)
+    lam = np.concatenate(lams, axis=1) if adjoint else None
+    return np.concatenate(ys, axis=1), np.concatenate(us, axis=1), lam
 
 
 def evaluate_probe(params, problem, shape=None, with_curve: bool = False) -> dict:
     """Reference errors on the problem's fixed probe grid."""
     t, x, _ = problem.probe_points(shape)
-    y, u, lam = _forward_chunked(params, t, x)
+    y, u, lam = _forward_chunked(params, t, x, adjoint=problem.probe_reads_adjoint)
     return problem.probe_report(t, x, y, u, lam, with_curve=with_curve)
 
 

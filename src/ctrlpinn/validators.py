@@ -82,7 +82,7 @@ class ControlField:
         nt, nx = self.values.shape
         lines = [f"t0={self.t0!r},tf={self.tf!r},nt={nt},x0={self.x0!r},x1={self.x1!r},nx={nx}"]
         for row in self.values:
-            lines.append(",".join(repr(float(v)) for v in row))
+            lines.append(",".join(map(repr, row.tolist())))
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
@@ -119,7 +119,7 @@ class DnsSolution:
             f"x0={float(self.x[0])!r},x1={float(self.x[-1])!r},nx={nx}"
         ]
         for row in self.y:
-            lines.append(",".join(repr(float(v)) for v in row))
+            lines.append(",".join(map(repr, row.tolist())))
         Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -194,7 +194,7 @@ def test_criterion_4_heat_reference_pair_diffusivity_fact():
     y = HeadJets(
         value=[oracles.heat_y(tt, xx).ravel()],
         d_dt=[oracles.heat_y_t(tt, xx).ravel()],
-        d2_dx2=[[oracles.heat_y_xx(tt, xx).ravel()]],
+        laplacian=[oracles.heat_y_xx(tt, xx).ravel()],
     )
     u = [oracles.heat_u(tt, xx).ravel()]
     unit = np.max(np.abs(HeatProblem(diffusivity=1.0).forward_residual(y, u)[0]))

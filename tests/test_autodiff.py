@@ -4,6 +4,7 @@ import pytest
 from ctrlpinn import autodiff
 from ctrlpinn.autodiff import FlatParams, Jet, JetSpec, Var, elu, elu_d1, elu_d2, elu_factors
 from ctrlpinn.network import (
+    BLOCK_POINTS,
     ArchitectureConfig,
     ControlPinnParams,
     Dense,
@@ -51,7 +52,7 @@ def test_affine_layer_jet():
     assert out.val[0, 0] == pytest.approx(2 * 0.4 + 3 * 0.7)
     assert out.dt[0, 0] == 2.0
     assert out.dx[0][0, 0] == 3.0
-    assert out.dxx[0][0, 0] == 0.0
+    assert out.lap[0, 0] == 0.0
 
 
 def test_single_elu_neuron_second_derivative():
@@ -61,9 +62,9 @@ def test_single_elu_neuron_second_derivative():
     x = np.array([[0.25]])
     inp = _input_bundle(t, x, JetSpec())
     z = _dense_fwd(Dense(np.array([[0.0, w]]), np.array([b])), inp, "test")
-    out, _, _ = _act_fwd(z, elu_factors)
+    out = _act_fwd(z, elu_factors)[0]
     assert z.val[0, 0] == pytest.approx(-1.0)
-    assert out.dxx[0][0, 0] == pytest.approx(w * w * np.exp(-1.0), rel=1e-12)
+    assert out.lap[0, 0] == pytest.approx(w * w * np.exp(-1.0), rel=1e-12)
 
 
 def test_jets_match_finite_differences():
@@ -133,7 +134,7 @@ def test_polynomial_exactness_identity_build():
     assert y.dx[0][0, 0] == pytest.approx(w_y[0, 1], rel=1e-12)
     for name in ("y", "u", "lam"):
         bundle = tape.head_bundle(name)
-        assert np.all(bundle.dxx[0] == 0.0)
+        assert np.all(bundle.lap == 0.0)
 
 
 def test_jet_determinism_bitwise():
@@ -263,12 +264,132 @@ def test_second_order_composition_gradient_matches_fd():
 
     def evaluator(p):
         tape = NetworkTape(p, t, x, JetSpec())
-        d2 = tape.head("y").d2_dx2[0][0]
+        d2 = tape.head("y").laplacian[0]
         return (d2 * d2).mean(), [tape]
 
     value, grad = autodiff.loss_gradient(params, evaluator)
     flat = params.to_flat()
     rng = np.random.default_rng(17)
+    for _ in range(4):
+        direction = rng.standard_normal(flat.size)
+        direction /= np.linalg.norm(direction)
+        h = 1e-5
+
+        def loss_at(vec):
+            p = ControlPinnParams.from_flat(config, vec)
+            return autodiff.loss_gradient(p, evaluator)[0]
+
+        fd = (loss_at(flat + h * direction) - loss_at(flat - h * direction)) / (2 * h)
+        assert abs(float(grad @ direction) - fd) <= 1e-4 * max(abs(fd), 1e-8)
+
+
+# -- the Laplacian slot and column blocks --------------------------------------
+
+
+def test_elu_factors_bitwise_on_edge_values():
+    # the where-free factors against the branchwise definitions, bit for bit
+    # (signed zeros included), on random values across many magnitudes plus
+    # the edges of the double range
+    rng = np.random.default_rng(5)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 700.0, -745.0, -800.0, 1e308, -1e308]
+    z = np.concatenate([rng.standard_normal(10**6) * 10.0 ** rng.uniform(-8, 3, 10**6), edges])
+    value, d1, d2 = elu_factors(z)
+    for got, ref in ((value, elu(z)), (d1, elu_d1(z)), (d2, elu_d2(z))):
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _batch_2d(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, (n, 2))
+
+
+def test_laplacian_slot_equals_sum_of_per_axis_second_derivatives():
+    params = init_params(ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1), seed=13)
+    t, x = _batch_2d(6, 1)
+    tape = NetworkTape(params, t, x, JetSpec())
+    for k in range(t.size):
+        jets = autodiff.jet_eval(params, (t[k], x[k]))
+        for name in ("y", "u", "lam"):
+            lap = tape.head_bundle(name).lap[:, k]
+            per_axis = jets[name].d2_dx2.sum(axis=1)
+            assert np.all(np.abs(lap - per_axis) <= 1e-12 * np.abs(per_axis))
+
+
+def test_laplacian_slot_in_one_dimension_is_the_per_axis_second_derivative():
+    # one point per tape, as jet_eval runs it: BLAS may sum a one-column
+    # product in another order than a wider one
+    params = init_params(ArchitectureConfig(spatial_dim=1), seed=14)
+    for t, x in ((0.2, 0.35), (0.7, 0.9)):
+        tape = NetworkTape(params, np.array([t]), np.array([[x]]), JetSpec())
+        jets = autodiff.jet_eval(params, (t, [x]))
+        for name in ("y", "u", "lam"):
+            assert np.array_equal(tape.head_bundle(name).lap[:, 0], jets[name].d2_dx2[:, 0])
+
+
+def test_jet_spec_axes_select_the_carried_partials():
+    params = init_params(ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1), seed=15)
+    t, x = _batch_2d(5, 2)
+    full = NetworkTape(params, t, x, JetSpec(space_order=1)).head_bundle("y")
+    second = NetworkTape(params, t, x, JetSpec(space_order=1, axes=(1,))).head_bundle("y")
+    assert len(second.dx) == 1
+    assert np.array_equal(second.dx[0], full.dx[1])
+    assert np.array_equal(second.val, full.val)
+    with pytest.raises(ValueError):
+        JetSpec(axes=(0, 0))
+    with pytest.raises(ValueError):
+        NetworkTape(params, t, x, JetSpec(axes=(2,)))
+
+
+def _jet_loss(tape):
+    # every jet slot of every head enters, so each block record is exercised
+    total = None
+    for name in ("y", "u", "lam"):
+        head = tape.head(name)
+        for j in range(len(head.value)):
+            terms = [head.value[j], head.d_dt[j], head.laplacian[j]] + head.d_dx[j]
+            for term in terms:
+                part = (term * term).sum()
+                total = part if total is None else total + part
+    return total
+
+
+def test_column_blocks_match_one_tape_per_block():
+    params = init_params(ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1), seed=16)
+    n = 3 * BLOCK_POINTS + 7
+    t, x = _batch_2d(n, 3)
+    whole = NetworkTape(params, t, x, JetSpec())
+    _jet_loss(whole).backward()
+    grad = whole.parameter_gradient()
+
+    grad_blocks = np.zeros_like(grad)
+    for lo in range(0, n, BLOCK_POINTS):
+        hi = min(lo + BLOCK_POINTS, n)
+        part = NetworkTape(params, t[lo:hi], x[lo:hi], JetSpec())
+        _jet_loss(part).backward()
+        grad_blocks += part.parameter_gradient()
+        for name in ("y", "u", "lam"):
+            a, b = whole.head_bundle(name), part.head_bundle(name)
+            for c_whole, c_part in zip(a.comps(), b.comps()):
+                ref = c_part
+                assert np.all(np.abs(c_whole[:, lo:hi] - ref) <= 1e-13 * np.abs(ref).max())
+    assert np.max(np.abs(grad - grad_blocks)) <= 1e-13 * np.max(np.abs(grad_blocks))
+
+
+def test_second_order_composition_gradient_matches_fd_in_two_dimensions():
+    # parameter gradient of a Laplacian penalty on both prey-problem states
+    config = ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1)
+    params = init_params(config, seed=22)
+    t = np.array([0.25, 0.75])
+    x = np.array([[0.4, 0.3], [0.6, 0.8]])
+
+    def evaluator(p):
+        tape = NetworkTape(p, t, x, JetSpec())
+        lap = tape.head("y").laplacian
+        return (lap[0] * lap[0] + lap[1] * lap[1]).mean(), [tape]
+
+    value, grad = autodiff.loss_gradient(params, evaluator)
+    flat = params.to_flat()
+    rng = np.random.default_rng(18)
     for _ in range(4):
         direction = rng.standard_normal(flat.size)
         direction /= np.linalg.norm(direction)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ctrlpinn import cli
+from ctrlpinn.network import forward_values
 
 
 TINY_ANALYTICAL = """
@@ -105,6 +106,46 @@ def test_saved_run_with_bad_config_is_config_error(tmp_path, capsys, command):
     assert "config.resolved.cfg:3: unknown key 'speed'" in capsys.readouterr().err
 
 
+def _trained(tmp_path, text, name):
+    out = tmp_path / name
+    assert cli.main(["train", "--config", _cfg(tmp_path, text, name=f"{name}.cfg"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["validate", "export"])
+def test_unreadable_checkpoint_is_missing_artifact(tmp_path, capsys, command):
+    out = _trained(tmp_path, TINY_ANALYTICAL, "run")
+    (out / "checkpoint_final.json").write_text('{"format": "ctrlpinn-params/1", "params": [1.0,')
+    capsys.readouterr()
+    assert cli.main([command, str(out), "--resolution", "41"]) == cli.EXIT_MISSING
+    assert "not a readable checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "export"])
+def test_unknown_checkpoint_format_is_missing_artifact(tmp_path, capsys, command):
+    out = _trained(tmp_path, TINY_ANALYTICAL, "run")
+    ckpt = out / "checkpoint_final.json"
+    doc = json.loads(ckpt.read_text())
+    doc["format"] = "ctrlpinn-params/99"
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main([command, str(out), "--resolution", "41"]) == cli.EXIT_MISSING
+    assert "unsupported checkpoint format 'ctrlpinn-params/99'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "export"])
+def test_checkpoint_of_another_problem_is_refused(tmp_path, capsys, command):
+    # an analytical network under a heat config must not validate
+    analytical = _trained(tmp_path, TINY_ANALYTICAL, "analytical")
+    heat = _trained(tmp_path, TINY_HEAT, "heat")
+    (heat / "checkpoint_final.json").write_bytes((analytical / "checkpoint_final.json").read_bytes())
+    capsys.readouterr()
+    assert cli.main([command, str(heat), "--resolution", "41"]) == cli.EXIT_MISSING
+    assert "problem 'heat' needs" in capsys.readouterr().err
+    assert not (heat / "validation" / "report.json").exists()
+    assert not (heat / "export_u.csv").exists()
+
+
 def test_validate_analytical_run(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", _cfg(tmp_path, TINY_ANALYTICAL), "--out", str(out)]) == 0
@@ -161,10 +202,18 @@ def test_export_fields(tmp_path):
     assert cli.main(["train", "--config", _cfg(tmp_path, TINY_HEAT), "--out", str(out)]) == 0
     code = cli.main(["export", str(out), "--resolution", "41"])
     assert code == cli.EXIT_OK
+    from ctrlpinn.network import load_params
     from ctrlpinn.validators import ControlField
 
     field = ControlField.from_csv(out / "export_u.csv")
     assert field.values.shape == (41, 41)
+    # the fields are the network's own values, written exactly
+    params, _ = load_params(out / "checkpoint_final.json")
+    t = np.linspace(0.0, 1.0, 41)
+    tt, xx = np.meshgrid(t, t, indexing="ij")
+    y, u, _ = forward_values(params, tt.ravel(), xx.reshape(-1, 1))
+    assert np.array_equal(field.values, u[0].reshape(41, 41))
+    assert np.array_equal(ControlField.from_csv(out / "export_y.csv").values, y[0].reshape(41, 41))
 
 
 def test_emitted_svgs_are_byte_deterministic(tmp_path):

@@ -67,6 +67,16 @@ def test_output_widths_follow_config():
     assert lam.shape == (2, 2)
 
 
+def test_skipping_the_adjoint_branch_keeps_y_and_u():
+    params = init_params(ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1), seed=4)
+    rng = np.random.default_rng(0)
+    t, x = rng.uniform(0, 1, 300), rng.uniform(0, 1, (300, 2))
+    y, u, lam = forward_values(params, t, x)
+    y2, u2, lam2 = forward_values(params, t, x, adjoint=False)
+    assert lam2 is None and lam.shape == (2, 300)
+    assert np.array_equal(y, y2) and np.array_equal(u, u2)
+
+
 def test_lambda_head_width_equals_state_width():
     for config in (
         ArchitectureConfig(0, 1, 1),
