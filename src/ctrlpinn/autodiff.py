@@ -38,27 +38,8 @@ class EvaluationError(RuntimeError):
 # ELU is not twice differentiable at z = 0: the second derivative is e^z on
 # the negative branch (limit 1) and 0 on the positive one.  We pin the value
 # at the kink to the negative-branch limit so jets are continuous from below.
-ELU_DD_AT_ZERO = 1.0
-
-
-def elu(z):
-    z = np.asarray(z, dtype=float)
-    return np.where(z > 0.0, z, np.exp(np.minimum(z, 0.0)) - 1.0)
-
-
-def elu_d1(z):
-    z = np.asarray(z, dtype=float)
-    return np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
-
-
-def elu_d2(z):
-    z = np.asarray(z, dtype=float)
-    return np.where(z > 0.0, 0.0, np.exp(np.minimum(z, 0.0)))
-
-
 # On the negative branch every further derivative is again e^z; on the
 # positive branch they vanish.
-elu_d3 = elu_d2
 
 
 def elu_factors(z):
@@ -295,22 +276,6 @@ def _topo_order(root):
     return order  # children strictly before their consumers
 
 
-class FlatParams:
-    """Gradient source exposing the flat parameter vector as a tape leaf.
-
-    Lets a loss depend on the raw weights directly (e.g. a quadratic penalty)
-    through the same ``loss_gradient`` entry point as jet-based losses.
-    """
-
-    def __init__(self, params):
-        self.var = Var(params.to_flat())
-
-    def parameter_gradient(self):
-        if self.var.grad is None:
-            return np.zeros_like(self.var.value)
-        return self.var.grad
-
-
 # --------------------------------------------------------------------------
 # Public operations.
 
@@ -354,24 +319,3 @@ def jet_eval(params, point, spec: JetSpec = FULL_JETS):
             d2_dx2 = np.stack([b.lap[:, 0] for b in bundles], axis=1) if per_axis else np.zeros((value.size, 0))
         jets[name] = Jet(value=value, d_dt=d_dt, d_dx=d_dx, d2_dx2=d2_dx2)
     return jets
-
-
-def loss_gradient(params, evaluator):
-    """Evaluate a scalar loss and its gradient w.r.t. every parameter.
-
-    ``evaluator(params)`` must return ``(total, sources)`` where ``total`` is
-    a scalar ``Var`` (or plain float for constant losses) and ``sources`` are
-    the gradient sources it was built from (``NetworkTape`` or ``FlatParams``
-    instances).  The gradient of a parameter that does not influence the loss
-    is exactly zero.
-    """
-    total, sources = evaluator(params)
-    value = float(total.value) if isinstance(total, Var) else float(total)
-    if not np.isfinite(value):
-        raise EvaluationError(f"non-finite loss value {value!r}")
-    gradient = np.zeros(params.num_params)
-    if isinstance(total, Var):
-        total.backward()
-        for source in sources:
-            gradient += source.parameter_gradient()
-    return value, gradient

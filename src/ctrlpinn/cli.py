@@ -1,8 +1,13 @@
 """Command-line entry point: train, validate, plot, export.
 
-Exit codes: 0 success, 2 configuration error, 3 training divergence,
-4 missing or unusable run artifacts (no checkpoint, an unreadable one, or
-one whose architecture does not fit the run's problem).
+The commands are the same for every benchmark.  What a training run writes
+besides its metrics and checkpoints, and what ``validate`` checks, are
+methods of the run's problem class (see ``ctrlpinn.problems``).
+
+Exit codes: 0 success, 2 configuration error (in the config file, in a flag,
+or in a run's saved config), 3 training divergence (partial artifacts are
+written), 4 missing or unusable run artifacts (no checkpoint, an unreadable
+one, or one whose architecture does not fit the run's problem).
 ``CTRLPINN_THREADS`` caps BLAS threads (default 1; set before numpy is first
 imported, which is why the heavy imports below live inside functions).
 """
@@ -55,15 +60,8 @@ def _build_parser():
 def main(argv=None) -> int:
     _apply_thread_cap()
     args = _build_parser().parse_args(argv)
-    if args.command == "train":
-        return cmd_train(args)
-    if args.command == "validate":
-        return cmd_validate(args)
-    if args.command == "plot":
-        return cmd_plot(args)
-    if args.command == "export":
-        return cmd_export(args)
-    return EXIT_CONFIG
+    commands = {"train": cmd_train, "validate": cmd_validate, "plot": cmd_plot, "export": cmd_export}
+    return commands[args.command](args)
 
 
 # --------------------------------------------------------------------------
@@ -74,10 +72,7 @@ def cmd_train(args) -> int:
 
     try:
         config = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:
@@ -87,21 +82,22 @@ def cmd_train(args) -> int:
     if args.long:
         config.epochs = config.long_epochs
     if args.diffusivity is not None:
-        config.diffusivity = args.diffusivity
+        if "diffusivity" not in config.options:
+            print(f"error: --diffusivity: problem {config.problem!r} has no diffusivity", file=sys.stderr)
+            return EXIT_CONFIG
+        config.options["diffusivity"] = args.diffusivity
     if args.out is not None:
         config.out = args.out
     if config.out is None:
         config.out = f"runs/{config.problem}"
 
     from . import trainer
-    from .loss import TERM_ORDER
 
     try:
         problem = config.make_problem()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    settings = config.make_settings()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved.cfg").write_text(config.resolved_text())
@@ -112,7 +108,7 @@ def cmd_train(args) -> int:
             parts.append(f"err_y {row['err_y']:.3e}")
         print("  ".join(parts))
 
-    record = trainer.train(problem, settings, out_dir=out, log=log)
+    record = trainer.train(problem, config, out_dir=out, log=log)
 
     summary = {
         "problem": problem.name,
@@ -125,9 +121,10 @@ def cmd_train(args) -> int:
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
 
-    _emit_run_artifacts(problem, record, out)
+    if record.final_probe is not None:  # None: the final parameters overflow the network
+        problem.write_artifacts(record.params, record.final_probe, out)
     if record.history:
-        _emit_loss_history(out, record.history, list(TERM_ORDER) + ["total"])
+        _emit_loss_history(out, record.history)
     print(f"run directory: {out}")
     if record.status == "diverged":
         print("training diverged; partial artifacts were written", file=sys.stderr)
@@ -135,99 +132,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _emit_loss_history(out: Path, history, names):
+def _emit_loss_history(out: Path, history):
     from . import svgplot
+    from .loss import TERM_ORDER
 
     epochs = [row["epoch"] for row in history]
-    series = [(name, epochs, [row[name] for row in history]) for name in names]
+    series = [(name, epochs, [row[name] for row in history]) for name in (*TERM_ORDER, "total")]
     series = [(n, xs, ys) for n, xs, ys in series if any(v > 0 for v in ys)]
     svgplot.write(out / "loss_history.svg", svgplot.line_chart(
         series, title="weighted loss components", x_label="epoch", y_label="loss", log_y=True
     ))
-
-
-def _emit_run_artifacts(problem, record, out: Path):
-    """Final-state plots and CSV fields for the trained network."""
-    import numpy as np
-
-    from . import svgplot
-    from .trainer import evaluate_probe, _forward_chunked
-
-    params = record.params
-    if problem.name == "analytical":
-        t = np.linspace(problem.domain.t0, problem.domain.tf, 1001)
-        y, u, lam = _forward_chunked(params, t, np.zeros((t.size, 0)))
-        header = "t,y,u,lam,y_ref,u_ref,lam_ref"
-        refs = (problem.y_star(t), problem.u_star(t), problem.lam_star(t))
-        rows = [header] + [
-            ",".join(repr(float(v)) for v in vals)
-            for vals in zip(t, y[0], u[0], lam[0], *refs)
-        ]
-        (out / "final_solution.csv").write_text("\n".join(rows) + "\n")
-        svgplot.write(out / "solution_vs_reference.svg", svgplot.line_chart(
-            [
-                ("y", t, y[0]), ("y*", t, refs[0]),
-                ("u", t, u[0]), ("u*", t, refs[1]),
-                ("lam", t, lam[0]), ("lam*", t, refs[2]),
-            ],
-            title="learned vs reference", x_label="t",
-        ))
-    elif problem.name == "heat":
-        from .validators import ControlField
-
-        nt = nx = 101
-        t = np.linspace(problem.domain.t0, problem.domain.tf, nt)
-        x = np.linspace(*problem.domain.x_bounds[0], nx)
-        tt, xx = np.meshgrid(t, x, indexing="ij")
-        y, u, _ = _forward_chunked(params, tt.ravel(), xx.reshape(-1, 1), adjoint=False)
-        y_field = y[0].reshape(nt, nx)
-        u_field = u[0].reshape(nt, nx)
-        ControlField(t[0], t[-1], x[0], x[-1], y_field).to_csv(out / "final_y.csv")
-        ControlField(t[0], t[-1], x[0], x[-1], u_field).to_csv(out / "final_u.csv")
-        y_ref = problem.y_star(tt, xx)
-        u_ref = problem.u_star(tt, xx)
-        for name, learned, ref in (("y", y_field, y_ref), ("u", u_field, u_ref)):
-            lo = float(min(learned.min(), ref.min()))
-            hi = float(max(learned.max(), ref.max()))
-            svgplot.write(out / f"heatmap_{name}.svg", svgplot.heatmap(
-                learned, x_range=(x[0], x[-1]), y_range=(t[0], t[-1]),
-                title=f"learned {name}(t,x)", x_label="x", y_label="t", v_min=lo, v_max=hi,
-            ))
-            svgplot.write(out / f"heatmap_{name}_reference.svg", svgplot.heatmap(
-                ref, x_range=(x[0], x[-1]), y_range=(t[0], t[-1]),
-                title=f"reference {name}*(t,x)", x_label="x", y_label="t", v_min=lo, v_max=hi,
-            ))
-    elif problem.name == "predator_prey":
-        curve = record.final_probe.get("error_by_time") or []
-        if curve:
-            rows = ["time,relative_error"] + [f"{t!r},{e!r}" for t, e in curve]
-            (out / "error_vs_time.csv").write_text("\n".join(rows) + "\n")
-            svgplot.write(out / "error_vs_time.svg", svgplot.line_chart(
-                [("rel L2 error of y2", [c[0] for c in curve], [c[1] for c in curve])],
-                title="prey tracking error over time", x_label="t", y_label="relative error",
-            ))
-        n = 51
-        x1 = np.linspace(0.0, 1.0, n)
-        x2 = np.linspace(0.0, 1.0, n)
-        g1, g2 = np.meshgrid(x1, x2, indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel()])
-        tf = problem.domain.tf
-        y, u, _ = _forward_chunked(params, np.full(pts.shape[0], tf), pts, adjoint=False)
-        y2 = y[1].reshape(n, n)
-        target = problem.y2_target(tf, g1, g2)
-        err = np.abs(y2 - target)
-        lo, hi = float(min(y2.min(), target.min())), float(max(y2.max(), target.max()))
-        for name, field, v_min, v_max in (
-            ("y2_learned", y2, lo, hi),
-            ("y2_target", target, lo, hi),
-            ("y2_abs_error", err, 0.0, float(err.max())),
-            ("u2_learned", u[0].reshape(n, n), None, None),
-        ):
-            svgplot.write(out / f"final_{name}.svg", svgplot.heatmap(
-                field, x_range=(0.0, 1.0), y_range=(0.0, 1.0),
-                title=f"{name} at t=tf", x_label="x1", y_label="x2",
-                v_min=v_min, v_max=v_max,
-            ))
 
 
 # --------------------------------------------------------------------------
@@ -273,90 +187,9 @@ def cmd_validate(args) -> int:
     if isinstance(loaded, int):
         return loaded
     run, problem, params = loaded
-
-    import numpy as np
-
-    from . import svgplot
-    from .trainer import _forward_chunked
-    from .validators import (
-        ControlField,
-        control_effort,
-        cost_functional,
-        error_table,
-        integrate_ode,
-        relative_error,
-        solve_heat_dns,
-        write_error_table,
-    )
-
     out = run / "validation"
     out.mkdir(exist_ok=True)
-    report = {"problem": problem.name}
-
-    if problem.name == "analytical":
-        t = np.linspace(problem.domain.t0, problem.domain.tf, args.resolution)
-        y, u, lam = _forward_chunked(params, t, np.zeros((t.size, 0)))
-        field_u = ControlField(t[0], t[-1], 0.0, 1.0, u[0][:, None])
-        field_u.to_csv(out / "control.csv")
-        control = lambda tv: field_u.at(np.asarray(tv), 0.0)
-        times, states = integrate_ode(problem.ode_rhs, [1.0], control, (t[0], t[-1]), steps=t.size - 1)
-        y_rk = states[:, 0]
-        report["rel_error_y_rk4_vs_reference"] = relative_error(y_rk, problem.y_star(times))
-        field_y = ControlField(t[0], t[-1], 0.0, 1.0, y_rk[:, None])
-        report["cost_functional"] = cost_functional(problem, field_y, field_u)
-        svgplot.write(out / "state_comparison.svg", svgplot.line_chart(
-            [("y (RK4 with learned u)", times, y_rk), ("y*", times, problem.y_star(times))],
-            title="classical integration of the learned control", x_label="t",
-        ))
-        print(f"RK4 state vs reference: rel L2 {report['rel_error_y_rk4_vs_reference']:.4f}")
-    elif problem.name == "heat":
-        nt = nx = args.resolution
-        t = np.linspace(problem.domain.t0, problem.domain.tf, nt)
-        x = np.linspace(*problem.domain.x_bounds[0], nx)
-        tt, xx = np.meshgrid(t, x, indexing="ij")
-        _, u, _ = _forward_chunked(params, tt.ravel(), xx.reshape(-1, 1), adjoint=False)
-        field_u = ControlField(t[0], t[-1], x[0], x[-1], u[0].reshape(nt, nx))
-        field_u.to_csv(out / "control.csv")
-        dns = solve_heat_dns(field_u, problem.diffusivity, nx=nx, initial_state=problem.initial_profile)
-        dns.to_csv(out / "dns_state.csv")
-        table = error_table(dns, problem.y_star, [round(0.1 * k, 1) for k in range(1, 11)])
-        write_error_table(out / "relative_error_table.csv", table)
-        effort_learned = control_effort(field_u)
-        u_ref = problem.u_star(tt, xx)
-        effort_ref = control_effort(ControlField(t[0], t[-1], x[0], x[-1], u_ref))
-        report["error_table"] = table
-        report["control_effort_learned"] = effort_learned
-        report["control_effort_reference"] = effort_ref
-        y_tf = dns.state_at(problem.domain.tf)
-        svgplot.write(out / "state_comparison_tf.svg", svgplot.line_chart(
-            [("DNS y(tf,x)", dns.x, y_tf), ("y*(tf,x)", dns.x, problem.y_star(problem.domain.tf, dns.x))],
-            title="final state: DNS with learned control vs reference", x_label="x",
-        ))
-        abs_err = [(tv, float(np.max(np.abs(dns.state_at(tv) - problem.y_star(tv, dns.x))))) for tv, _ in table]
-        svgplot.write(out / "absolute_error_loglog.svg", svgplot.line_chart(
-            [("max |y - y*|", [a for a, _ in abs_err], [b for _, b in abs_err])],
-            title="DNS absolute error", x_label="t", y_label="max abs error", log_y=True,
-        ))
-        for tv, err in table:
-            print(f"t={tv:.1f}  relative error {err:.4f}")
-        print(
-            f"control effort: learned {effort_learned:.4f} vs reference {effort_ref:.4f}"
-        )
-    else:  # predator_prey: residual- and target-based validation
-        from .trainer import evaluate_probe
-
-        probe = evaluate_probe(params, problem, with_curve=True)
-        report["err_y2"] = probe["err_y"]
-        report["error_by_time"] = probe["error_by_time"]
-        rows = ["time,relative_error"] + [f"{tv!r},{e!r}" for tv, e in probe["error_by_time"]]
-        (out / "relative_error_table.csv").write_text("\n".join(rows) + "\n")
-        svgplot.write(out / "error_vs_time.svg", svgplot.line_chart(
-            [("rel L2 error of y2", [c[0] for c in probe["error_by_time"]],
-              [c[1] for c in probe["error_by_time"]])],
-            title="prey tracking error over time", x_label="t", y_label="relative error",
-        ))
-        print(f"final-time y2 tracking error: {probe['error_by_time'][-1][1]:.4f}")
-
+    report = {"problem": problem.name, **problem.validate(params, out, args.resolution)}
     (out / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
     return EXIT_OK
 
@@ -367,14 +200,13 @@ def cmd_plot(args) -> int:
     if not metrics.exists():
         print(f"error: {metrics} not found", file=sys.stderr)
         return EXIT_MISSING
-    from .loss import TERM_ORDER
     from .trainer import read_metrics
 
     rows = read_metrics(metrics)
     if not rows:
         print("error: metrics.csv has no data rows", file=sys.stderr)
         return EXIT_MISSING
-    _emit_loss_history(run, rows, list(TERM_ORDER) + ["total"])
+    _emit_loss_history(run, rows)
 
     probe_rows = [r for r in rows if r.get("err_y") is not None]
     if probe_rows:
@@ -397,27 +229,12 @@ def cmd_export(args) -> int:
     if isinstance(loaded, int):
         return loaded
     run, problem, params = loaded
-
-    import numpy as np
-
-    from .trainer import _forward_chunked
-    from .validators import ControlField
-
-    n = args.resolution
-    t = np.linspace(problem.domain.t0, problem.domain.tf, n)
-    if problem.domain.spatial_dim == 0:
-        y, u, _ = _forward_chunked(params, t, np.zeros((t.size, 0)), adjoint=False)
-        ControlField(t[0], t[-1], 0.0, 1.0, u[0][:, None]).to_csv(run / "export_u.csv")
-        ControlField(t[0], t[-1], 0.0, 1.0, y[0][:, None]).to_csv(run / "export_y.csv")
-    elif problem.domain.spatial_dim == 1:
-        x = np.linspace(*problem.domain.x_bounds[0], n)
-        tt, xx = np.meshgrid(t, x, indexing="ij")
-        y, u, _ = _forward_chunked(params, tt.ravel(), xx.reshape(-1, 1), adjoint=False)
-        ControlField(t[0], t[-1], x[0], x[-1], u[0].reshape(n, n)).to_csv(run / "export_u.csv")
-        ControlField(t[0], t[-1], x[0], x[-1], y[0].reshape(n, n)).to_csv(run / "export_y.csv")
-    else:
+    if problem.domain.spatial_dim > 1:
         print("error: CSV field export covers time-only and 1-D spatial problems", file=sys.stderr)
         return EXIT_CONFIG
+    _, _, (y, u, _) = problem.field_values(params, args.resolution)
+    problem.sampled_field(u[0]).to_csv(run / "export_u.csv")
+    problem.sampled_field(y[0]).to_csv(run / "export_y.csv")
     print(f"fields written to {run}")
     return EXIT_OK
 

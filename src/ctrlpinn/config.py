@@ -2,13 +2,17 @@
 headers, ``#`` comments.
 
 The schema is closed: unknown sections or keys are rejected with the file
-line number, as are unparsable values.  See README for the full key table.
+line number, as are unparsable or out-of-range values.  The ``[problem]``
+keys are keyword arguments of the chosen problem's constructor, so a key
+that only another problem takes is rejected as well.  See README for the
+full key table.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .loss import LossWeights
 from .sampler import SampleSizes
@@ -31,19 +35,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
-    return value
+def _bounded(kind, ok, requirement):
+    """Parser of a ``kind`` value that must satisfy ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise ValueError(f"must be {requirement}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _parse_positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"must be finite and > 0, got {value!r}")
-    return value
-
+_nonnegative_int = _bounded(int, lambda v: v >= 0, ">= 0")
+_positive_int = _bounded(int, lambda v: v > 0, "> 0")
+_positive_float = _bounded(float, lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")
+_nonnegative_float = _bounded(float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
+_unit_interval = _bounded(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 SCHEMA = {
     "run": {
@@ -52,141 +60,81 @@ SCHEMA = {
         "long_epochs": int,
         "seed": int,
         "out": str,
-        "eval_every": int,
-        "checkpoint_every": int,
+        "eval_every": _nonnegative_int,
+        "checkpoint_every": _nonnegative_int,
         "early_stop_tol": float,
     },
+    # Each key is accepted only if the chosen problem's constructor takes it.
     "problem": {
-        "diffusivity": _parse_positive_float,
+        "diffusivity": _positive_float,
         "interior_tracking": _parse_bool,
         "track_y1": _parse_bool,
         "target_supervision": _parse_bool,
     },
-    "sampler": {
-        "interior": int,
-        "initial": int,
-        "terminal": int,
-        "boundary": int,
-    },
-    "loss": {
-        "data": float,
-        "forward": float,
-        "adjoint": float,
-        "optimality": float,
-        "initial": float,
-        "terminal_adjoint": float,
-        "boundary": float,
-    },
+    "sampler": {f.name: _positive_int for f in fields(SampleSizes)},
+    "loss": {f.name: _nonnegative_float for f in fields(LossWeights)},
     "adam": {
-        "lr": float,
-        "beta1": float,
-        "beta2": float,
-        "eps": float,
-        "lr_half_life": _parse_nonnegative_int,
+        "lr": _positive_float,
+        "beta1": _unit_interval,
+        "beta2": _unit_interval,
+        "eps": _positive_float,
+        "lr_half_life": _nonnegative_int,
     },
 }
 
+# Optional keys that the echo leaves out while they hold their "off" value.
+_ECHO_UNLESS = {"early_stop_tol": None, "lr_half_life": 0}
 
-@dataclass
-class RunConfig:
+
+def _echo(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@dataclass(kw_only=True)
+class RunConfig(TrainSettings):
+    """The training settings of a run plus what they are applied to.
+
+    ``options`` holds every keyword argument of the problem's constructor.
+    """
+
     problem: str
-    epochs: int = 300
+    options: dict = field(default_factory=dict)
     long_epochs: int = 10000
-    seed: int = 0
     out: str | None = None
-    eval_every: int = 50
-    checkpoint_every: int = 0
-    early_stop_tol: float | None = None
-    diffusivity: float | None = None
-    interior_tracking: bool = False
-    track_y1: bool = False
-    target_supervision: bool = False
-    sizes: SampleSizes = field(default_factory=SampleSizes)
-    weights: LossWeights = field(default_factory=LossWeights)
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    lr_half_life: int = 0
 
     def make_problem(self):
         from .problems import get_problem
 
-        overrides = {}
-        if self.problem == "heat":
-            if self.diffusivity is not None:
-                overrides["diffusivity"] = self.diffusivity
-            overrides["interior_tracking"] = self.interior_tracking
-        if self.problem == "predator_prey":
-            overrides["track_y1"] = self.track_y1
-            overrides["target_supervision"] = self.target_supervision
-        return get_problem(self.problem, **overrides)
-
-    def make_settings(self) -> TrainSettings:
-        return TrainSettings(
-            epochs=self.epochs,
-            seed=self.seed,
-            sizes=self.sizes,
-            weights=self.weights,
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            lr_half_life=self.lr_half_life,
-            eval_every=self.eval_every,
-            checkpoint_every=self.checkpoint_every,
-            early_stop_tol=self.early_stop_tol,
-        )
+        return get_problem(self.problem, **self.options)
 
     def resolved_text(self) -> str:
-        """Canonical echo of the configuration actually used for a run."""
-        lines = [
-            "[run]",
-            f"problem = {self.problem}",
-            f"epochs = {self.epochs}",
-            f"long_epochs = {self.long_epochs}",
-            f"seed = {self.seed}",
-            f"eval_every = {self.eval_every}",
-            f"checkpoint_every = {self.checkpoint_every}",
-        ]
-        if self.early_stop_tol is not None:
-            lines.append(f"early_stop_tol = {self.early_stop_tol!r}")
-        lines += ["", "[problem]"]
-        if self.diffusivity is not None:
-            lines.append(f"diffusivity = {self.diffusivity!r}")
-        if self.problem == "heat":
-            lines.append(f"interior_tracking = {str(self.interior_tracking).lower()}")
-        if self.problem == "predator_prey":
-            lines.append(f"track_y1 = {str(self.track_y1).lower()}")
-            lines.append(f"target_supervision = {str(self.target_supervision).lower()}")
-        lines += [
-            "",
-            "[sampler]",
-            f"interior = {self.sizes.interior}",
-            f"initial = {self.sizes.initial}",
-            f"terminal = {self.sizes.terminal}",
-            f"boundary = {self.sizes.boundary}",
-            "",
-            "[loss]",
-        ]
-        for name in ("data", "forward", "adjoint", "optimality", "initial", "terminal_adjoint", "boundary"):
-            lines.append(f"{name} = {getattr(self.weights, name)!r}")
-        lines += [
-            "",
-            "[adam]",
-            f"lr = {self.lr!r}",
-            f"beta1 = {self.beta1!r}",
-            f"beta2 = {self.beta2!r}",
-            f"eps = {self.eps!r}",
-        ]
-        if self.lr_half_life:
-            lines.append(f"lr_half_life = {self.lr_half_life}")
-        return "\n".join(lines) + "\n"
+        """Canonical echo of the configuration actually used for a run.
+
+        ``out`` is left out: the echo is written into the output directory.
+        """
+        sections = {
+            "run": {key: getattr(self, key) for key in SCHEMA["run"] if key != "out"},
+            "problem": self.options,
+            "sampler": asdict(self.sizes),
+            "loss": asdict(self.weights),
+            "adam": {key: getattr(self, key) for key in SCHEMA["adam"]},
+        }
+        blocks = []
+        for name, values in sections.items():
+            lines = [f"[{name}]"]
+            for key, value in values.items():
+                if key not in _ECHO_UNLESS or value != _ECHO_UNLESS[key]:
+                    lines.append(f"{key} = {_echo(value)}")
+            blocks.append("\n".join(lines))
+        return "\n\n".join(blocks) + "\n"
 
 
 def parse_config(path) -> RunConfig:
     """Parse and validate a config file; raises ConfigError with a line number."""
-    raw = {}
+    raw = {section: {} for section in SCHEMA}
+    lines = {}
     section = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -209,37 +157,33 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(path, lineno, f"unknown key {key!r} in [{section}]")
             parser = SCHEMA[section][key]
             try:
-                raw[(section, key)] = parser(value)
+                raw[section][key] = parser(value)
             except ValueError as exc:
                 raise ConfigError(path, lineno, f"bad value for {key!r}: {exc}") from None
+            lines[(section, key)] = lineno
 
-    if ("run", "problem") not in raw:
+    run = raw["run"]
+    if "problem" not in run:
         raise ConfigError(path, 0, "missing required key 'problem' in [run]")
-    problem = raw[("run", "problem")]
+    problem = run.pop("problem")
     from .problems import PROBLEMS
 
     if problem not in PROBLEMS:
-        raise ConfigError(path, 0, f"unknown problem {problem!r}; expected one of {sorted(PROBLEMS)}")
-
-    config = RunConfig(problem=problem)
-    for field_name in ("epochs", "long_epochs", "seed", "out", "eval_every", "checkpoint_every", "early_stop_tol"):
-        if ("run", field_name) in raw:
-            setattr(config, field_name, raw[("run", field_name)])
-    if ("problem", "diffusivity") in raw:
-        config.diffusivity = raw[("problem", "diffusivity")]
-    if ("problem", "interior_tracking") in raw:
-        config.interior_tracking = raw[("problem", "interior_tracking")]
-    if ("problem", "track_y1") in raw:
-        config.track_y1 = raw[("problem", "track_y1")]
-    if ("problem", "target_supervision") in raw:
-        config.target_supervision = raw[("problem", "target_supervision")]
-    size_kwargs = {k: raw[("sampler", k)] for k in SCHEMA["sampler"] if ("sampler", k) in raw}
-    if size_kwargs:
-        config.sizes = SampleSizes(**{**config.sizes.__dict__, **size_kwargs})
-    weight_kwargs = {k: raw[("loss", k)] for k in SCHEMA["loss"] if ("loss", k) in raw}
-    if weight_kwargs:
-        config.weights = LossWeights(**{**config.weights.__dict__, **weight_kwargs})
-    for field_name in ("lr", "beta1", "beta2", "eps", "lr_half_life"):
-        if ("adam", field_name) in raw:
-            setattr(config, field_name, raw[("adam", field_name)])
-    return config
+        raise ConfigError(
+            path, lines[("run", "problem")], f"unknown problem {problem!r}; expected one of {sorted(PROBLEMS)}"
+        )
+    options = {name: p.default for name, p in inspect.signature(PROBLEMS[problem]).parameters.items()}
+    for key, value in raw["problem"].items():
+        if key not in options:
+            raise ConfigError(
+                path, lines[("problem", key)], f"problem {problem!r} takes no key {key!r} (it takes {sorted(options)})"
+            )
+        options[key] = value
+    return RunConfig(
+        problem=problem,
+        options=options,
+        sizes=SampleSizes(**raw["sampler"]),
+        weights=LossWeights(**raw["loss"]),
+        **run,
+        **raw["adam"],
+    )

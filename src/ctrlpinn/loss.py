@@ -9,18 +9,18 @@ total is the weighted sum in a fixed order, so the breakdown adds up bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
 
 from .autodiff import JetSpec, Var, VALUES_ONLY, EvaluationError
 from .network import NetworkTape
 
-TERM_ORDER = ("data", "forward", "adjoint", "optimality", "initial", "terminal_adjoint", "boundary")
-
 
 @dataclass(frozen=True)
 class LossWeights:
+    """Weight of each loss term; the field order is the order of the terms."""
+
     data: float = 1.0
     forward: float = 0.1
     adjoint: float = 0.1
@@ -36,21 +36,13 @@ class LossWeights:
                 raise ValueError(f"loss weight {f.name} must be finite and nonnegative")
 
 
-@dataclass
-class LossBreakdown:
-    """Weighted value of each term plus their sum."""
+TERM_ORDER = tuple(f.name for f in fields(LossWeights))
 
-    data: float
-    forward: float
-    adjoint: float
-    optimality: float
-    initial: float
-    terminal_adjoint: float
-    boundary: float
-    total: float
-
-    def as_dict(self):
-        return {name: getattr(self, name) for name in TERM_ORDER + ("total",)}
+LossBreakdown = make_dataclass(
+    "LossBreakdown",
+    [(name, float) for name in TERM_ORDER + ("total",)],
+    namespace={"__doc__": "Weighted value of each term plus their sum.", "as_dict": lambda self: dict(vars(self))},
+)
 
 
 def _mean_sq(residuals):
@@ -151,14 +143,9 @@ def _weighted_total(terms, weights):
     return total, LossBreakdown(**values)
 
 
-def evaluate(params, problem, batch, weights: LossWeights = LossWeights()) -> LossBreakdown:
-    """Per-term weighted losses for one batch (no gradient bookkeeping kept)."""
-    breakdown, _, _ = evaluate_with_graph(params, problem, batch, weights)
-    return breakdown
-
-
 def evaluate_with_graph(params, problem, batch, weights: LossWeights = LossWeights()):
-    """Like :func:`evaluate` but returns the live total and tapes for backprop."""
+    """Per-term weighted losses for one batch, plus the live total and the
+    tapes it was built from, for backprop."""
     provider = _TapeProvider(params)
     terms = assemble(problem, batch, weights, provider)
     total, breakdown = _weighted_total(terms, weights)

@@ -169,8 +169,8 @@ def init_params(config: ArchitectureConfig, seed: int) -> ControlPinnParams:
 #   forward:  lap_out = d1 * lap_z + d2 * sum_i zx_i^2
 #   reverse:  the per-axis adjoint rules, summed over i,
 #
-# with d1, d2 the activation's first two derivatives at z (for ELU the third
-# equals the second).  Components stay separate: every product then runs at
+# with d1, d2 ELU's first two derivatives at z (its third equals the
+# second).  Components stay separate: every product then runs at
 # the BLAS shape (width, width) x (width, block), and stacking them into one
 # (width, k * n_points) array measured slower for these widths.
 
@@ -198,13 +198,6 @@ class _Bundle:
         yield from self.dx
         if self.lap is not None:
             yield self.lap
-
-
-def _identity_factors(z):
-    return z, np.ones_like(z), np.zeros_like(z)
-
-
-_ACTIVATIONS = {"elu": elu_factors, "identity": _identity_factors}
 
 
 def _input_bundle(t, x, spec: JetSpec):
@@ -239,13 +232,13 @@ def _dense_fwd(dense: Dense, j: _Bundle, label: str) -> _Bundle:
     )
 
 
-def _act_fwd(z: _Bundle, factors):
-    """Activation output bundle plus what the reverse pass needs.
+def _act_fwd(z: _Bundle):
+    """ELU output bundle plus what the reverse pass needs.
 
     Returns ``(out, d1, d2, sq)`` where ``sq`` is sum_i zx_i^2 (None without
     a second-order slot).
     """
-    val, d1, d2 = factors(z.val)
+    val, d1, d2 = elu_factors(z.val)
     lap = sq = None
     if z.lap is not None:
         sq = z.dx[0] * z.dx[0]
@@ -276,9 +269,9 @@ def _act_bwd(z: _Bundle, d1, d2, sq, g: _Bundle) -> _Bundle:
 
     Mutates ``g`` in place (its arrays are owned by the reverse pass).  For
     ELU the third derivative equals the second (e^z on the negative branch,
-    0 elsewhere), so d2 serves for both factors below; the identity
-    activation has both identically zero.  The value adjoint collects the
-    time term, then every first-partial term, then the second-order term.
+    0 elsewhere), so d2 serves for both factors below.  The value adjoint
+    collects the time term, then every first-partial term, then the
+    second-order term.
     """
     gv = g.val
     gv *= d1
@@ -337,14 +330,14 @@ class _Block:
 
     __slots__ = ("records", "head_in", "heads")
 
-    def __init__(self, params: ControlPinnParams, inp: _Bundle, factors):
+    def __init__(self, params: ControlPinnParams, inp: _Bundle):
         self.records = {}
 
         def run_branch(label, denses, bundle):
             records = []
             for i, dense in enumerate(denses):
                 z = _dense_fwd(dense, bundle, f"{label}.{i}")
-                out, d1, d2, sq = _act_fwd(z, factors)
+                out, d1, d2, sq = _act_fwd(z)
                 records.append((bundle, z, d1, d2, sq))
                 bundle = out
             self.records[label] = records
@@ -402,15 +395,14 @@ class NetworkTape:
     order, so results are bitwise reproducible.
     """
 
-    def __init__(self, params: ControlPinnParams, t, x, spec: JetSpec, activation: str = "elu"):
+    def __init__(self, params: ControlPinnParams, t, x, spec: JetSpec):
         self.params = params
         self.spec = spec
-        factors = _ACTIVATIONS[activation]
         t = np.asarray(t, dtype=float)
         sd = params.config.spatial_dim
         x = np.zeros((t.size, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(t.size, sd)
         self._bounds = [(lo, min(lo + BLOCK_POINTS, t.size)) for lo in range(0, max(t.size, 1), BLOCK_POINTS)]
-        self._blocks = [_Block(params, _input_bundle(t[lo:hi], x[lo:hi], spec), factors) for lo, hi in self._bounds]
+        self._blocks = [_Block(params, _input_bundle(t[lo:hi], x[lo:hi], spec)) for lo, hi in self._bounds]
         self._bundles = {}
         for name in HEADS:
             parts = [block.heads[name] for block in self._blocks]
@@ -468,14 +460,12 @@ class NetworkTape:
 # bookkeeping.
 
 
-def _act_values(z, activation):
+def _act_values(z):
     """ELU as exp(min(z, 0)) - 1 + max(z, 0), with one exponential pass.
 
     At most one of the two parts is nonzero, so the sum is exactly the
     branch value.
     """
-    if activation == "identity":
-        return z
     out = np.minimum(z, 0.0)
     np.exp(out, out=out)
     out -= 1.0
@@ -483,7 +473,7 @@ def _act_values(z, activation):
     return out
 
 
-def forward_values(params: ControlPinnParams, t, x=None, activation: str = "elu", adjoint: bool = True):
+def forward_values(params: ControlPinnParams, t, x=None, adjoint: bool = True):
     """Head values over a batch: arrays of shape (n_y, n), (n_u, n), (n_y, n).
 
     With ``adjoint=False`` the adjoint branch is not run and lam is None; y
@@ -500,7 +490,7 @@ def forward_values(params: ControlPinnParams, t, x=None, activation: str = "elu"
             z += dense.b[:, None]
             if not np.isfinite(z).all():
                 raise EvaluationError(f"non-finite activation in layer {label}.{i}", layer=f"{label}.{i}")
-            h = _act_values(z, activation)
+            h = _act_values(z)
         return h
 
     h = run("trunk", params.trunk, h)
@@ -517,12 +507,6 @@ def forward_values(params: ControlPinnParams, t, x=None, activation: str = "elu"
         if not np.isfinite(out).all():
             raise EvaluationError(f"non-finite output in {name}", layer=name)
     return y, u, lam
-
-
-def forward(params: ControlPinnParams, t, x=None):
-    """(y, u, lam) value vectors at a single space-time point."""
-    y, u, lam = forward_values(params, [t], None if x is None else np.asarray(x, dtype=float).reshape(1, -1))
-    return y[:, 0], u[:, 0], lam[:, 0]
 
 
 # --------------------------------------------------------------------------

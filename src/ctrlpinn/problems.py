@@ -1,5 +1,5 @@
 """Benchmark control problems: dynamics, costs, analytic partials, condition
-data, and reference solutions.
+data, reference solutions, and what a trained network is checked against.
 
 Each problem supplies its interior residual operators in strong form.  The
 adjoint of the spatial operator is written out analytically (the Laplacian is
@@ -12,6 +12,11 @@ unchanged whether the entries are tape ``Var`` leaves (training), batched
 arrays (closed-form oracles), or scalars (single-point checks).  The spatial
 operators read only the Laplacian, which the training tape carries as one
 slot.
+
+Each problem also owns the outputs of a trained network:
+:meth:`ControlProblem.write_artifacts` writes the final-state fields and
+plots of a training run, and :meth:`ControlProblem.validate` runs the
+problem's classical check and returns its report entries.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import svgplot, validators
 from .network import ArchitectureConfig
 
 MANIFOLD_TOL = 1e-12
@@ -155,6 +161,42 @@ class ControlProblem:
     def probe_report(self, t, x, y, u, lam, with_curve=False):
         raise NotImplementedError
 
+    # Outputs of a trained network --------------------------------------------
+
+    def field_values(self, params, n, adjoint=False):
+        """The network's heads on the regular grid of ``n`` points per axis.
+
+        Returns ``(t, x, (y, u, lam))``: the grid's points as
+        :meth:`probe_points` lays them out, and each head reshaped to
+        (components, n, ...).  lam is None unless ``adjoint``.
+        """
+        # Imported here: trainer imports this module (through sampler).
+        from .trainer import forward_chunked
+
+        t, x, shape = self.probe_points((n,) * (1 + self.domain.spatial_dim))
+        heads = forward_chunked(params, t, x, adjoint=adjoint)
+        return t, x, tuple(None if h is None else h.reshape(h.shape[0], *shape) for h in heads)
+
+    def sampled_field(self, values):
+        """:class:`ControlField` of one head component from :meth:`field_values`.
+
+        Covers time-only problems (one x column) and 1-D spatial ones.
+        """
+        x0, x1 = self.domain.x_bounds[0] if self.domain.spatial_dim else (0.0, 1.0)
+        return validators.ControlField(self.domain.t0, self.domain.tf, x0, x1, values.reshape(values.shape[0], -1))
+
+    def write_artifacts(self, params, final_probe, out):
+        """Final-state CSVs and plots of a training run, written into ``out``."""
+        raise NotImplementedError
+
+    def validate(self, params, out, resolution) -> dict:
+        """Check the learned control classically; files go into ``out``.
+
+        ``resolution`` is the number of grid points per axis of the exported
+        control.  Returns the entries of ``report.json``.
+        """
+        raise NotImplementedError
+
 
 def _rel_l2(a, b):
     denom = float(np.linalg.norm(b))
@@ -240,6 +282,46 @@ class AnalyticalProblem(ControlProblem):
             "err_u": _rel_l2(u[0], self.u_star(t)),
             "err_lam": _rel_l2(lam[0], self.lam_star(t)),
         }
+        return report
+
+    # outputs -----------------------------------------------------------------
+
+    def write_artifacts(self, params, final_probe, out):
+        t, _, (y, u, lam) = self.field_values(params, 1001, adjoint=True)
+        refs = (self.y_star(t), self.u_star(t), self.lam_star(t))
+        rows = ["t,y,u,lam,y_ref,u_ref,lam_ref"] + [
+            ",".join(repr(float(v)) for v in vals) for vals in zip(t, y[0], u[0], lam[0], *refs)
+        ]
+        (out / "final_solution.csv").write_text("\n".join(rows) + "\n")
+        svgplot.write(out / "solution_vs_reference.svg", svgplot.line_chart(
+            [
+                ("y", t, y[0]), ("y*", t, refs[0]),
+                ("u", t, u[0]), ("u*", t, refs[1]),
+                ("lam", t, lam[0]), ("lam*", t, refs[2]),
+            ],
+            title="learned vs reference", x_label="t",
+        ))
+
+    def validate(self, params, out, resolution):
+        """RK4 integration of the learned control against the reference state."""
+        t, _, (_, u, _) = self.field_values(params, resolution)
+        field_u = self.sampled_field(u[0])
+        field_u.to_csv(out / "control.csv")
+
+        def control(tv):
+            return field_u.at(np.asarray(tv), 0.0)
+
+        times, states = validators.integrate_ode(self.ode_rhs, [1.0], control, (t[0], t[-1]), steps=t.size - 1)
+        y_rk = states[:, 0]
+        report = {
+            "rel_error_y_rk4_vs_reference": validators.relative_error(y_rk, self.y_star(times)),
+            "cost_functional": validators.cost_functional(self, self.sampled_field(y_rk), field_u),
+        }
+        svgplot.write(out / "state_comparison.svg", svgplot.line_chart(
+            [("y (RK4 with learned u)", times, y_rk), ("y*", times, self.y_star(times))],
+            title="classical integration of the learned control", x_label="t",
+        ))
+        print(f"RK4 state vs reference: rel L2 {report['rel_error_y_rk4_vs_reference']:.4f}")
         return report
 
 
@@ -369,6 +451,58 @@ class HeatProblem(ControlProblem):
             report["error_by_time"] = curve
         return report
 
+    # outputs -----------------------------------------------------------------
+
+    def write_artifacts(self, params, final_probe, out):
+        n = 101
+        t, x, (y, u, _) = self.field_values(params, n)
+        tt, xx = t.reshape(n, n), x.reshape(n, n)
+        ranges = {"x_range": self.domain.x_bounds[0], "y_range": (self.domain.t0, self.domain.tf)}
+        for name, learned, ref in (("y", y[0], self.y_star(tt, xx)), ("u", u[0], self.u_star(tt, xx))):
+            self.sampled_field(learned).to_csv(out / f"final_{name}.csv")
+            lo = float(min(learned.min(), ref.min()))
+            hi = float(max(learned.max(), ref.max()))
+            svgplot.write(out / f"heatmap_{name}.svg", svgplot.heatmap(
+                learned, **ranges, title=f"learned {name}(t,x)", x_label="x", y_label="t", v_min=lo, v_max=hi,
+            ))
+            svgplot.write(out / f"heatmap_{name}_reference.svg", svgplot.heatmap(
+                ref, **ranges, title=f"reference {name}*(t,x)", x_label="x", y_label="t", v_min=lo, v_max=hi,
+            ))
+
+    def validate(self, params, out, resolution):
+        """FTCS DNS driven by the learned control, against the target state."""
+        n = resolution
+        t, x, (_, u, _) = self.field_values(params, n)
+        field_u = self.sampled_field(u[0])
+        field_u.to_csv(out / "control.csv")
+        dns = validators.solve_heat_dns(field_u, self.diffusivity, nx=n, initial_state=self.initial_profile)
+        dns.to_csv(out / "dns_state.csv")
+        table = validators.error_table(dns, self.y_star, [round(0.1 * k, 1) for k in range(1, 11)])
+        validators.write_error_table(out / "relative_error_table.csv", table)
+        u_ref = self.u_star(t.reshape(n, n), x.reshape(n, n))
+        report = {
+            "error_table": table,
+            "control_effort_learned": validators.control_effort(field_u),
+            "control_effort_reference": validators.control_effort(self.sampled_field(u_ref)),
+        }
+        tf = self.domain.tf
+        svgplot.write(out / "state_comparison_tf.svg", svgplot.line_chart(
+            [("DNS y(tf,x)", dns.x, dns.state_at(tf)), ("y*(tf,x)", dns.x, self.y_star(tf, dns.x))],
+            title="final state: DNS with learned control vs reference", x_label="x",
+        ))
+        abs_err = [(tv, float(np.max(np.abs(dns.state_at(tv) - self.y_star(tv, dns.x))))) for tv, _ in table]
+        svgplot.write(out / "absolute_error_loglog.svg", svgplot.line_chart(
+            [("max |y - y*|", [a for a, _ in abs_err], [b for _, b in abs_err])],
+            title="DNS absolute error", x_label="t", y_label="max abs error", log_y=True,
+        ))
+        for tv, err in table:
+            print(f"t={tv:.1f}  relative error {err:.4f}")
+        print(
+            f"control effort: learned {report['control_effort_learned']:.4f} "
+            f"vs reference {report['control_effort_reference']:.4f}"
+        )
+        return report
+
 
 class PredatorPreyProblem(ControlProblem):
     """Reaction-diffusion herding of a prey population on the unit square.
@@ -481,6 +615,58 @@ class PredatorPreyProblem(ControlProblem):
                 curve.append((float(tv), _rel_l2(y[1][sel], target[sel])))
             report["error_by_time"] = curve
         return report
+
+    # outputs -----------------------------------------------------------------
+
+    @staticmethod
+    def _write_error_curve(curve, path):
+        """The prey error-by-time curve as a table at ``path`` plus its plot."""
+        validators.write_error_table(path, curve)
+        svgplot.write(path.parent / "error_vs_time.svg", svgplot.line_chart(
+            [("rel L2 error of y2", [c[0] for c in curve], [c[1] for c in curve])],
+            title="prey tracking error over time", x_label="t", y_label="relative error",
+        ))
+
+    def write_artifacts(self, params, final_probe, out):
+        from .trainer import forward_chunked
+
+        curve = final_probe.get("error_by_time")
+        if curve:
+            self._write_error_curve(curve, out / "error_vs_time.csv")
+        n = 51
+        g1, g2 = np.meshgrid(*(np.linspace(lo, hi, n) for lo, hi in self.domain.x_bounds), indexing="ij")
+        pts = np.column_stack([g1.ravel(), g2.ravel()])
+        tf = self.domain.tf
+        y, u, _ = forward_chunked(params, np.full(pts.shape[0], tf), pts, adjoint=False)
+        y2 = y[1].reshape(n, n)
+        target = self.y2_target(tf, g1, g2)
+        err = np.abs(y2 - target)
+        lo, hi = float(min(y2.min(), target.min())), float(max(y2.max(), target.max()))
+        for name, field, v_min, v_max in (
+            ("y2_learned", y2, lo, hi),
+            ("y2_target", target, lo, hi),
+            ("y2_abs_error", err, 0.0, float(err.max())),
+            ("u2_learned", u[0].reshape(n, n), None, None),
+        ):
+            svgplot.write(out / f"final_{name}.svg", svgplot.heatmap(
+                field, x_range=self.domain.x_bounds[0], y_range=self.domain.x_bounds[1],
+                title=f"{name} at t=tf", x_label="x1", y_label="x2",
+                v_min=v_min, v_max=v_max,
+            ))
+
+    def validate(self, params, out, resolution):
+        """The network's own prey state against the target on the probe grid.
+
+        No classical solver covers this problem yet, so ``resolution`` is
+        unused.
+        """
+        from .trainer import evaluate_probe
+
+        probe = evaluate_probe(params, self, with_curve=True)
+        curve = probe["error_by_time"]
+        self._write_error_curve(curve, out / "relative_error_table.csv")
+        print(f"final-time y2 tracking error: {curve[-1][1]:.4f}")
+        return {"err_y2": probe["err_y"], "error_by_time": curve}
 
 
 PROBLEMS = {

@@ -10,7 +10,7 @@ initial x, terminal x, boundary t, boundary faces, boundary x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,9 +25,9 @@ class SampleSizes:
     boundary: int = 200
 
     def __post_init__(self):
-        for name in ("interior", "initial", "terminal", "boundary"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"sample size {name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"sample size {f.name} must be positive")
 
 
 @dataclass

@@ -16,24 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import EvaluationError
-from .loss import LossWeights, loss_and_gradient
+from .loss import TERM_ORDER, LossWeights, loss_and_gradient
 from .network import ControlPinnParams, forward_values, init_params, load_params, save_params
 from .sampler import SampleSizes, make_rng, sample
 
-METRIC_COLUMNS = (
-    "epoch",
-    "data",
-    "forward",
-    "adjoint",
-    "optimality",
-    "initial",
-    "terminal_adjoint",
-    "boundary",
-    "total",
-    "err_y",
-    "err_u",
-    "err_lam",
-)
+METRIC_COLUMNS = ("epoch", *TERM_ORDER, "total", "err_y", "err_u", "err_lam")
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -79,7 +66,7 @@ def adam_step(state: AdamState, params_flat: np.ndarray, gradient: np.ndarray):
 
 @dataclass
 class TrainSettings:
-    epochs: int
+    epochs: int = 300
     seed: int = 0
     sizes: SampleSizes = field(default_factory=SampleSizes)
     weights: LossWeights = field(default_factory=LossWeights)
@@ -113,10 +100,13 @@ class RunRecord:
     start_epoch: int = 0
 
 
-def _forward_chunked(params, t, x, chunk: int = 2048, adjoint: bool = True):
-    # (100, 2048) activations stay in cache: a third faster than 8192-point
-    # chunks on a 1001 x 1001 grid, and each column's value does not depend
-    # on the chunk size.  Without ``adjoint`` lam is None (see forward_values).
+def forward_chunked(params, t, x, chunk: int = 2048, adjoint: bool = True):
+    """Head values over a large batch, in chunks of ``chunk`` points.
+
+    (100, 2048) activations stay in cache: a third faster than 8192-point
+    chunks on a 1001 x 1001 grid, and each column's value does not depend
+    on the chunk size.  Without ``adjoint`` lam is None (see forward_values).
+    """
     ys, us, lams = [], [], []
     for lo in range(0, t.size, chunk):
         hi = lo + chunk
@@ -131,7 +121,7 @@ def _forward_chunked(params, t, x, chunk: int = 2048, adjoint: bool = True):
 def evaluate_probe(params, problem, shape=None, with_curve: bool = False) -> dict:
     """Reference errors on the problem's fixed probe grid."""
     t, x, _ = problem.probe_points(shape)
-    y, u, lam = _forward_chunked(params, t, x, adjoint=problem.probe_reads_adjoint)
+    y, u, lam = forward_chunked(params, t, x, adjoint=problem.probe_reads_adjoint)
     return problem.probe_report(t, x, y, u, lam, with_curve=with_curve)
 
 
@@ -290,7 +280,12 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
             break
         params = ControlPinnParams.from_flat(config, flat)
         if settings.eval_every and (epoch % settings.eval_every == 0 or epoch == last_epoch):
-            probe = evaluate_probe(params, problem, settings.probe_shape)
+            try:
+                probe = evaluate_probe(params, problem, settings.probe_shape)
+            except EvaluationError:
+                history.append(row)
+                status = "diverged"
+                break
             row.update({k: probe.get(k) for k in ("err_y", "err_u", "err_lam")})
         history.append(row)
         if log is not None and (epoch % max(1, settings.eval_every) == 0 or epoch == last_epoch):
@@ -308,7 +303,11 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
         checkpoints.append(str(path))
         write_metrics(out / "metrics.csv", history)
 
-    final_probe = evaluate_probe(params, problem, settings.probe_shape, with_curve=True)
+    try:
+        final_probe = evaluate_probe(params, problem, settings.probe_shape, with_curve=True)
+    except EvaluationError:  # the last update overflowed the network
+        final_probe = None
+        status = "diverged"
     return RunRecord(
         problem=problem.name,
         status=status,

@@ -154,7 +154,8 @@ def solve_heat_dns(
     diffusivity: float,
     nx: int = 1001,
     dt: float | None = None,
-    initial_state=None,
+    *,
+    initial_state,
     store_times=None,
 ) -> DnsSolution:
     """Explicit finite differences for y_t = a y_xx + u, Dirichlet-zero walls.
@@ -163,8 +164,7 @@ def solve_heat_dns(
     Euler in time, with the control sampled on the solver's x grid and
     lerped in time between the field's rows.  The step must satisfy
     dt <= dx^2 / (2 a); violating requests are refused with the largest
-    compliant step.  ``initial_state`` is a callable of x (defaults to the
-    heated-rod benchmark profile).
+    compliant step.  ``initial_state`` is a callable of x.
 
     The recurrence is advanced exactly, mode by mode, in its Dirichlet sine
     eigenbasis, where one step multiplies mode k by
@@ -187,10 +187,6 @@ def solve_heat_dns(
     steps = int(np.ceil((tf - t0) / dt))
     dt = (tf - t0) / steps
 
-    if initial_state is None:
-        from .problems import HeatProblem
-
-        initial_state = HeatProblem().initial_profile
     y = np.asarray(initial_state(x), dtype=float).copy()
     y[0] = 0.0
     y[-1] = 0.0

@@ -17,4 +17,4 @@ def analytical_run_300():
     from ctrlpinn.trainer import train
 
     config = parse_config(Path(__file__).resolve().parent.parent / "configs" / "analytical.cfg")
-    return train(config.make_problem(), config.make_settings())
+    return train(config.make_problem(), config)

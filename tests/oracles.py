@@ -1,10 +1,14 @@
-"""Independent oracles: symbolic closed-form benchmark solutions, finite
-differences of the network on stencils that avoid ELU's kinks, and the
-step-by-step FTCS heat solver.
+"""Independent oracles: symbolic closed-form benchmark solutions, ELU's
+branchwise definitions, finite differences of the network on stencils that
+avoid ELU's kinks, and the step-by-step FTCS heat solver.
 
 The closed-form derivatives come from sympy and the network's
 pre-activations are recomputed from its raw weights, never through the
 package's own machinery, so tests that use them are genuine cross-checks.
+
+At the end: small helpers over the package's own network and loss
+(:func:`forward`, :func:`evaluate`, :func:`loss_gradient`) that only tests
+need.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from ctrlpinn.problems import HeatProblem
+from ctrlpinn.loss import LossWeights, evaluate_with_graph
+from ctrlpinn.network import forward_values
 from ctrlpinn.validators import ControlField, DnsSolution, StabilityError
 
 _t, _x = sp.symbols("t x")
@@ -42,6 +47,26 @@ heat_y_t = sp.lambdify((_t, _x), sp.diff(_heat_y, _t), "numpy")
 heat_y_xx = sp.lambdify((_t, _x), sp.diff(_heat_y, _x, 2), "numpy")
 
 
+# ELU and its first two derivatives, branch by branch; the second derivative
+# at the kink is pinned to the negative-branch limit 1.
+# ``ctrlpinn.autodiff.elu_factors`` must equal these bit for bit.
+
+
+def elu(z):
+    z = np.asarray(z, dtype=float)
+    return np.where(z > 0.0, z, np.exp(np.minimum(z, 0.0)) - 1.0)
+
+
+def elu_d1(z):
+    z = np.asarray(z, dtype=float)
+    return np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
+
+
+def elu_d2(z):
+    z = np.asarray(z, dtype=float)
+    return np.where(z > 0.0, 0.0, np.exp(np.minimum(z, 0.0)))
+
+
 def rel_err(a, b, floor=1.0):
     """|a - b| scaled by max(|b|, floor): relative where b is O(1) or larger."""
     a = np.asarray(a, dtype=float)
@@ -62,10 +87,6 @@ def rel_err(a, b, floor=1.0):
 KINK_H_MIN = 1e-5
 
 
-def _elu(z):
-    return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
-
-
 def preactivations(params, t, x=()):
     """Hidden-layer pre-activations at one point, keyed by layer label."""
     out = {}
@@ -74,7 +95,7 @@ def preactivations(params, t, x=()):
         for i, dense in enumerate(denses):
             z = dense.w @ h + dense.b
             out[f"{label}.{i}"] = z
-            h = _elu(z)
+            h = elu(z)
         return h
 
     h = branch("trunk", params.trunk, np.concatenate([[float(t)], np.asarray(x, dtype=float).ravel()]))
@@ -158,7 +179,8 @@ def ftcs_step_by_step(
     diffusivity: float,
     nx: int = 1001,
     dt: float | None = None,
-    initial_state=None,
+    *,
+    initial_state,
     store_times=None,
 ) -> DnsSolution:
     """Step-by-step FTCS reference for ``ctrlpinn.validators.solve_heat_dns``.
@@ -180,8 +202,6 @@ def ftcs_step_by_step(
     steps = int(np.ceil((tf - t0) / dt))
     dt = (tf - t0) / steps
 
-    if initial_state is None:
-        initial_state = HeatProblem().initial_profile
     y = np.asarray(initial_state(x), dtype=float).copy()
     y[0] = 0.0
     y[-1] = 0.0
@@ -234,3 +254,31 @@ def ftcs_step_by_step(
     if not np.isfinite(snapshots).all():
         raise RuntimeError("DNS produced non-finite values")
     return DnsSolution(times=snap_times, x=x, y=snapshots, dt=dt, dx=dx)
+
+
+# Helpers over the package's own network and loss.
+
+
+def forward(params, t, x=None):
+    """(y, u, lam) value vectors at a single space-time point."""
+    y, u, lam = forward_values(params, [t], None if x is None else np.asarray(x, dtype=float).reshape(1, -1))
+    return y[:, 0], u[:, 0], lam[:, 0]
+
+
+def evaluate(params, problem, batch, weights=LossWeights()):
+    """Per-term weighted losses for one batch."""
+    return evaluate_with_graph(params, problem, batch, weights)[0]
+
+
+def loss_gradient(params, evaluator):
+    """Value and flat parameter gradient of a scalar loss.
+
+    ``evaluator(params)`` returns ``(total, tapes)``: a scalar ``Var`` and
+    the ``NetworkTape`` objects it was built from.
+    """
+    total, tapes = evaluator(params)
+    total.backward()
+    gradient = np.zeros(params.num_params)
+    for tape in tapes:
+        gradient += tape.parameter_gradient()
+    return float(total.value), gradient

@@ -14,7 +14,7 @@ import pytest
 from ctrlpinn import autodiff
 from ctrlpinn.autodiff import HeadJets
 from ctrlpinn.config import parse_config
-from ctrlpinn.loss import evaluate, loss_and_gradient
+from ctrlpinn.loss import loss_and_gradient
 from ctrlpinn.network import ControlPinnParams, init_params
 from ctrlpinn.problems import HeatProblem, get_problem
 from ctrlpinn.sampler import CollocationBatch, SampleSizes, make_rng, sample
@@ -22,6 +22,7 @@ from ctrlpinn.trainer import resume, train
 from ctrlpinn.validators import ControlField, control_effort, error_table, integrate_ode, solve_heat_dns
 
 import oracles
+from oracles import evaluate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,7 +34,7 @@ def _ok(n, label):
 @pytest.fixture(scope="session")
 def heat_short_run(tmp_path_factory):
     config = parse_config(CONFIG_DIR / "heat.cfg")
-    record = train(config.make_problem(), config.make_settings(), out_dir=tmp_path_factory.mktemp("heat_short"))
+    record = train(config.make_problem(), config, out_dir=tmp_path_factory.mktemp("heat_short"))
     assert record.status == "completed"
     return config, record
 
@@ -48,7 +49,7 @@ def heat_long_run(heat_short_run):
     config = parse_config(CONFIG_DIR / "heat.cfg")
     config.epochs = config.long_epochs
     remaining = config.long_epochs - config_s.epochs
-    record = resume(config.make_problem(), config.make_settings(), record_s.checkpoints[-1], remaining)
+    record = resume(config.make_problem(), config, record_s.checkpoints[-1], remaining)
     assert record.status == "completed"
     record.wall_time += record_s.wall_time
     return config, record
@@ -57,7 +58,7 @@ def heat_long_run(heat_short_run):
 @pytest.fixture(scope="session")
 def predator_prey_run():
     config = parse_config(CONFIG_DIR / "predator_prey.cfg")
-    record = train(config.make_problem(), config.make_settings())
+    record = train(config.make_problem(), config)
     assert record.status == "completed"
     return config, record
 
@@ -67,9 +68,9 @@ def _heat_dns_table(config, record, resolution=1001):
     t = np.linspace(0.0, 1.0, resolution)
     x = np.linspace(0.0, 1.0, resolution)
     tt, xx = np.meshgrid(t, x, indexing="ij")
-    from ctrlpinn.trainer import _forward_chunked
+    from ctrlpinn.trainer import forward_chunked
 
-    _, u, _ = _forward_chunked(record.params, tt.ravel(), xx.reshape(-1, 1))
+    _, u, _ = forward_chunked(record.params, tt.ravel(), xx.reshape(-1, 1))
     field = ControlField(0.0, 1.0, 0.0, 1.0, u[0].reshape(resolution, resolution))
     dns = solve_heat_dns(field, problem.diffusivity, nx=resolution, initial_state=problem.initial_profile)
     table = error_table(dns, problem.y_star, [round(0.1 * k, 1) for k in range(1, 11)])
@@ -108,7 +109,7 @@ def test_criterion_2_autodiff_oracle():
         point_t = 0.43
         point_x = np.full(sd, 0.37)
         jets = autodiff.jet_eval(params, (point_t, point_x))
-        from ctrlpinn.network import forward
+        from oracles import forward
 
         def value(head, t, x):
             y, u, lam = forward(params, t, x if sd else None)
@@ -287,7 +288,7 @@ def test_criterion_9_bitwise_reproducibility(tmp_path):
     config.epochs = 50
     problem = config.make_problem()
     for name in ("one", "two"):
-        train(problem, config.make_settings(), out_dir=tmp_path / name)
+        train(problem, config, out_dir=tmp_path / name)
     a = (tmp_path / "one" / "metrics.csv").read_bytes()
     b = (tmp_path / "two" / "metrics.csv").read_bytes()
     assert a == b

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctrlpinn import cli
+from ctrlpinn import cli, problems
 from ctrlpinn.network import forward_values
 
 
@@ -91,6 +91,47 @@ def test_train_nonphysical_diffusivity_is_config_error(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert not out.exists()
     assert "diffusivity" in capsys.readouterr().err
+
+
+def test_problem_option_of_another_problem_is_config_error(tmp_path, capsys):
+    text = TINY_ANALYTICAL + "\n[problem]\ntrack_y1 = true\n"
+    line = text.splitlines().index("track_y1 = true") + 1
+    out = tmp_path / "a"
+    assert cli.main(["train", "--config", _cfg(tmp_path, text, name="bad.cfg"), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert f"bad.cfg:{line}" in capsys.readouterr().err
+    # the flag is refused too, instead of being ignored and echoed
+    out = tmp_path / "b"
+    code = cli.main(["train", "--config", _cfg(tmp_path, TINY_ANALYTICAL), "--diffusivity", "0.5", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+    assert "diffusivity" in capsys.readouterr().err
+
+
+def test_run_that_overflows_the_network_exits_diverged(tmp_path, capsys):
+    out = tmp_path / "run"
+    text = TINY_ANALYTICAL + "\n[adam]\nlr = 1e300\n"
+    assert cli.main(["train", "--config", _cfg(tmp_path, text), "--out", str(out)]) == cli.EXIT_DIVERGED
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert summary["final_probe"] is None
+    assert (out / "metrics.csv").exists() and (out / "checkpoint_final.json").exists()
+    assert not (out / "final_solution.csv").exists()
+    assert "training diverged" in capsys.readouterr().err
+
+
+def test_a_new_problem_class_runs_through_every_command(tmp_path, monkeypatch):
+    # a benchmark is one problem class: the commands only call its methods
+    class ToyProblem(problems.AnalyticalProblem):
+        name = "toy"
+
+    monkeypatch.setitem(problems.PROBLEMS, "toy", ToyProblem)
+    out = _trained(tmp_path, TINY_ANALYTICAL.replace("problem = analytical", "problem = toy"), "toy")
+    assert (out / "final_solution.csv").exists()
+    assert cli.main(["validate", str(out), "--resolution", "41"]) == cli.EXIT_OK
+    assert json.loads((out / "validation" / "report.json").read_text())["problem"] == "toy"
+    assert cli.main(["export", str(out), "--resolution", "41"]) == cli.EXIT_OK
+    assert (out / "export_u.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "export"])

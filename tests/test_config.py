@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -51,8 +52,7 @@ def test_parse_full_config(tmp_path):
     assert config.problem == "heat"
     assert config.epochs == 120
     assert config.seed == 3
-    assert config.diffusivity == 1.0
-    assert config.interior_tracking is True
+    assert config.options == {"diffusivity": 1.0, "interior_tracking": True}
     assert config.sizes.interior == 256
     assert config.weights.data == 25.0
     assert config.weights.forward == 0.1
@@ -86,6 +86,35 @@ def test_negative_lr_half_life_reports_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(_write(tmp_path, text))
     assert err.value.line == 5
+
+
+@pytest.mark.parametrize("section, line", [
+    ("loss", "data = -1"), ("loss", "forward = nan"), ("loss", "boundary = inf"),
+    ("sampler", "interior = 0"), ("sampler", "boundary = -3"),
+    ("adam", "lr = nan"), ("adam", "lr = 0"), ("adam", "eps = -1e-8"),
+    ("adam", "beta1 = 1.0"), ("adam", "beta2 = -0.1"),
+    ("run", "eval_every = -1"), ("run", "checkpoint_every = -2"),
+])
+def test_out_of_range_value_reports_line(tmp_path, section, line):
+    text = f"[run]\nproblem = analytical\n\n[{section}]\n{line}\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(_write(tmp_path, text))
+    assert err.value.line == 5
+    assert line.split()[0] in str(err.value)
+
+
+def test_problem_options_default_to_the_constructor_signature(tmp_path):
+    config = parse_config(_write(tmp_path, "[run]\nproblem = predator_prey\n\n[problem]\ntrack_y1 = yes\n"))
+    assert config.options == {"track_y1": True, "target_supervision": False}
+    assert parse_config(_write(tmp_path, "[run]\nproblem = analytical\n")).options == {}
+
+
+def test_problem_key_of_another_problem_reports_line(tmp_path):
+    text = "[problem]\ntrack_y1 = true\n\n[run]\nproblem = analytical\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(_write(tmp_path, text))
+    assert err.value.line == 2
+    assert "track_y1" in str(err.value)
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
@@ -145,6 +174,6 @@ def test_shipped_config_parses_and_builds(name, tmp_path):
     config = parse_config(REPO / name)
     problem = config.make_problem()
     assert problem.name == config.problem == Path(name).stem
-    assert config.make_settings().epochs == config.epochs
+    assert set(config.options) == set(inspect.signature(type(problem)).parameters)
     echoed = parse_config(_write(tmp_path, config.resolved_text()))
     assert echoed == config

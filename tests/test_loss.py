@@ -3,12 +3,13 @@ import pytest
 
 from ctrlpinn import loss as L
 from ctrlpinn.autodiff import HeadJets
-from ctrlpinn.loss import LossWeights, assemble, evaluate, loss_and_gradient
+from ctrlpinn.loss import LossWeights, assemble, loss_and_gradient
 from ctrlpinn.network import ControlPinnParams, init_params
 from ctrlpinn.problems import get_problem
 from ctrlpinn.sampler import SampleSizes, make_rng, sample
 
 import oracles
+from oracles import evaluate
 
 
 def _batch(problem, sizes=SampleSizes(), seed=0, epoch=0):

@@ -8,13 +8,14 @@ from ctrlpinn.network import (
     TRUNK_LAYERS,
     ArchitectureConfig,
     ControlPinnParams,
-    forward,
     forward_values,
     init_params,
     layer_dims,
     load_params,
     save_params,
 )
+
+from oracles import forward
 
 
 def test_init_is_deterministic_per_seed():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctrlpinn.problems import get_problem
+from ctrlpinn.problems import HeatProblem, get_problem
 from ctrlpinn.validators import (
     ControlField,
     DnsSolution,
@@ -103,7 +103,7 @@ def test_dns_boundary_rows_exactly_zero():
 def test_dns_refuses_unstable_step_with_compliant_dt():
     field = _uniform_field(0.0)
     with pytest.raises(StabilityError) as err:
-        solve_heat_dns(field, diffusivity=1.0, nx=101, dt=1e-3)
+        solve_heat_dns(field, diffusivity=1.0, nx=101, dt=1e-3, initial_state=np.zeros_like)
     max_dt = err.value.max_stable_dt
     assert max_dt == pytest.approx((1.0 / 100) ** 2 / 2.0, rel=1e-12)
     assert repr(max_dt) in str(err.value)
@@ -133,8 +133,9 @@ def test_dns_matches_step_by_step_ftcs(nx, diffusivity, dt_fraction, rows, span,
     rng = np.random.default_rng(nx + rows)
     field = ControlField(span[0], span[1], 0.0, 1.0, rng.uniform(-1.0, 1.0, (rows, 13)))
     dt = None if dt_fraction is None else dt_fraction * (1.0 / (nx - 1)) ** 2 / (2.0 * diffusivity)
-    fast = solve_heat_dns(field, diffusivity, nx=nx, dt=dt, store_times=store_times)
-    slow = oracles.ftcs_step_by_step(field, diffusivity, nx=nx, dt=dt, store_times=store_times)
+    profile = HeatProblem().initial_profile
+    fast = solve_heat_dns(field, diffusivity, nx=nx, dt=dt, initial_state=profile, store_times=store_times)
+    slow = oracles.ftcs_step_by_step(field, diffusivity, nx=nx, dt=dt, initial_state=profile, store_times=store_times)
     assert (fast.dt, fast.dx) == (slow.dt, slow.dx)
     assert np.array_equal(fast.times, slow.times)
     assert np.array_equal(fast.x, slow.x)
@@ -145,7 +146,7 @@ def test_dns_matches_step_by_step_ftcs(nx, diffusivity, dt_fraction, rows, span,
 @pytest.mark.parametrize("diffusivity", [0.0, -1.0, float("nan"), float("inf")])
 def test_dns_refuses_nonphysical_diffusivity(diffusivity):
     with pytest.raises(ValueError, match="diffusivity"):
-        solve_heat_dns(_uniform_field(0.0), diffusivity, nx=51)
+        solve_heat_dns(_uniform_field(0.0), diffusivity, nx=51, initial_state=np.zeros_like)
 
 
 def test_dns_spatial_convergence_order():
