@@ -7,7 +7,8 @@ methods of the run's problem class (see ``ctrlpinn.problems``).
 Exit codes: 0 success, 2 configuration error (in the config file, in a flag,
 or in a run's saved config), 3 training divergence (partial artifacts are
 written), 4 missing or unusable run artifacts (no checkpoint, an unreadable
-one, or one whose architecture does not fit the run's problem).
+one, one whose architecture does not fit the run's problem, or one whose
+network overflows).
 ``CTRLPINN_THREADS`` caps BLAS threads (default 1; set before numpy is first
 imported, which is why the heavy imports below live inside functions).
 """
@@ -32,28 +33,42 @@ def _apply_thread_cap():
         os.environ.setdefault(var, cap)
 
 
+def _at_least(low):
+    """argparse type: an int >= ``low`` (argparse exits 2 otherwise)."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="ctrlpinn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model from a config file")
     p_train.add_argument("--config", required=True, help="path to the run config")
-    p_train.add_argument("--seed", type=int, help="override the config seed")
-    p_train.add_argument("--epochs", type=int, help="override the epoch budget")
+    p_train.add_argument("--seed", type=_at_least(0), help="override the config seed")
+    p_train.add_argument("--epochs", type=_at_least(0), help="override the epoch budget")
     p_train.add_argument("--out", help="override the output run directory")
     p_train.add_argument("--diffusivity", type=float, help="override the heat diffusivity")
     p_train.add_argument("--long", action="store_true", help="use the config's long_epochs budget")
 
     p_val = sub.add_parser("validate", help="check a trained control with classical solvers")
     p_val.add_argument("run_dir", help="run directory produced by `train`")
-    p_val.add_argument("--resolution", type=int, default=1001, help="control export grid points per axis")
+    p_val.add_argument(
+        "--resolution", type=_at_least(2), default=1001, help="control export grid points per axis (>= 2)"
+    )
 
     p_plot = sub.add_parser("plot", help="re-emit SVG plots from a run's metrics")
     p_plot.add_argument("run_dir")
 
     p_exp = sub.add_parser("export", help="export the learned control (and state) fields as CSV")
     p_exp.add_argument("run_dir")
-    p_exp.add_argument("--resolution", type=int, default=1001)
+    p_exp.add_argument("--resolution", type=_at_least(2), default=1001, help="grid points per axis (>= 2)")
     return parser
 
 
@@ -154,7 +169,7 @@ def _load_run(run_dir):
     docstring).
     """
     from .config import ConfigError, parse_config
-    from .trainer import load_checkpoint
+    from .network import load_params
 
     run = Path(run_dir)
     ckpt = run / "checkpoint_final.json"
@@ -168,7 +183,7 @@ def _load_run(run_dir):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        params, _, _, _ = load_checkpoint(ckpt)
+        params, _ = load_params(ckpt)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {ckpt} is not a readable checkpoint: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MISSING
@@ -189,9 +204,20 @@ def cmd_validate(args) -> int:
     run, problem, params = loaded
     out = run / "validation"
     out.mkdir(exist_ok=True)
-    report = {"problem": problem.name, **problem.validate(params, out, args.resolution)}
+    from .autodiff import EvaluationError
+
+    try:
+        report = {"problem": problem.name, **problem.validate(params, out, args.resolution)}
+    except EvaluationError as exc:
+        return _overflowed(run, exc)
     (out / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
     return EXIT_OK
+
+
+def _overflowed(run, exc) -> int:
+    """Report a checkpoint whose network overflows (``exc`` names the layer)."""
+    print(f"error: {run / 'checkpoint_final.json'} holds a network that overflows: {exc}", file=sys.stderr)
+    return EXIT_MISSING
 
 
 def cmd_plot(args) -> int:
@@ -232,7 +258,12 @@ def cmd_export(args) -> int:
     if problem.domain.spatial_dim > 1:
         print("error: CSV field export covers time-only and 1-D spatial problems", file=sys.stderr)
         return EXIT_CONFIG
-    _, _, (y, u, _) = problem.field_values(params, args.resolution)
+    from .autodiff import EvaluationError
+
+    try:
+        _, _, (y, u, _) = problem.field_values(params, args.resolution)
+    except EvaluationError as exc:
+        return _overflowed(run, exc)
     problem.sampled_field(u[0]).to_csv(run / "export_u.csv")
     problem.sampled_field(y[0]).to_csv(run / "export_y.csv")
     print(f"fields written to {run}")

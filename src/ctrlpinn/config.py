@@ -56,9 +56,9 @@ _unit_interval = _bounded(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 SCHEMA = {
     "run": {
         "problem": str,
-        "epochs": int,
-        "long_epochs": int,
-        "seed": int,
+        "epochs": _nonnegative_int,
+        "long_epochs": _nonnegative_int,
+        "seed": _nonnegative_int,
         "out": str,
         "eval_every": _nonnegative_int,
         "checkpoint_every": _nonnegative_int,

@@ -16,7 +16,7 @@ matrix product per component.  The tape runs its points in column blocks of
 at most ``BLOCK_POINTS``, so that each component of a block stays in cache
 through a layer's elementwise rules; only the head outputs are joined back
 into whole-batch arrays.  Plain value passes (:func:`forward_values`) carry
-the value alone and can skip the adjoint branch.
+the value alone and stop after the last head their caller reads.
 """
 
 from __future__ import annotations
@@ -39,7 +39,9 @@ TRUNK_LAYERS = 5
 CONTROL_LAYERS = 3
 ADJOINT_LAYERS = 2
 
-PARAMS_FORMAT = "ctrlpinn-params/1"
+PARAMS_FORMAT = "ctrlpinn-params/2"
+# /1 is /2 with the ADAM moments of a training checkpoint as decimal lists.
+READABLE_FORMATS = ("ctrlpinn-params/1", PARAMS_FORMAT)
 
 
 @dataclass(frozen=True)
@@ -473,12 +475,15 @@ def _act_values(z):
     return out
 
 
-def forward_values(params: ControlPinnParams, t, x=None, adjoint: bool = True):
+def forward_values(params: ControlPinnParams, t, x=None, through: str = "lam"):
     """Head values over a batch: arrays of shape (n_y, n), (n_u, n), (n_y, n).
 
-    With ``adjoint=False`` the adjoint branch is not run and lam is None; y
-    and u are computed before it, so they do not change.
+    The branches run in head order y, u, lam and stop after head
+    ``through``; the heads after it are returned as None.  Each head is
+    computed before any later branch, so it does not depend on ``through``.
     """
+    if through not in HEADS:
+        raise ValueError(f"through must be one of {HEADS}, got {through!r}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     sd = params.config.spatial_dim
     x = np.zeros((t.size, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(t.size, sd)
@@ -495,23 +500,24 @@ def forward_values(params: ControlPinnParams, t, x=None, adjoint: bool = True):
 
     h = run("trunk", params.trunk, h)
     y = params.y_head.w @ h + params.y_head.b[:, None]
-    c = run("control", params.control, np.vstack([y, h]))
-    u = params.u_head.w @ c + params.u_head.b[:, None]
-    outputs = [("y_head", y), ("u_head", u)]
-    lam = None
-    if adjoint:
-        a = run("adjoint", params.adjoint, np.vstack([y, u, c]))
-        lam = params.lam_head.w @ a + params.lam_head.b[:, None]
-        outputs.append(("lam_head", lam))
-    for name, out in outputs:
-        if not np.isfinite(out).all():
+    u = lam = None
+    if through != "y":
+        c = run("control", params.control, np.vstack([y, h]))
+        u = params.u_head.w @ c + params.u_head.b[:, None]
+        if through == "lam":
+            a = run("adjoint", params.adjoint, np.vstack([y, u, c]))
+            lam = params.lam_head.w @ a + params.lam_head.b[:, None]
+    for name, out in (("y_head", y), ("u_head", u), ("lam_head", lam)):
+        if out is not None and not np.isfinite(out).all():
             raise EvaluationError(f"non-finite output in {name}", layer=name)
     return y, u, lam
 
 
 # --------------------------------------------------------------------------
-# Parameter checkpoints: a JSON document with an architecture header and the
-# flat weight vector; floats survive the round trip exactly.
+# Parameter checkpoints: a JSON document with an architecture header, the
+# flat weight vector as a decimal list (floats survive the round trip
+# exactly), and an optional ``extra`` object, which training checkpoints fill
+# (see ``trainer.save_checkpoint``).
 
 
 def save_params(path, params: ControlPinnParams, extra: dict | None = None):
@@ -526,14 +532,18 @@ def save_params(path, params: ControlPinnParams, extra: dict | None = None):
     }
     if extra is not None:
         doc["extra"] = extra
+    # json.dumps runs the C encoder; json.dump would run the pure-Python
+    # one, for the same text.
+    text = json.dumps(doc, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+        fh.write(text)
 
 
 def load_params(path):
+    """(params, extra) of a file in any of ``READABLE_FORMATS``."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != PARAMS_FORMAT:
+    if doc.get("format") not in READABLE_FORMATS:
         raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
     arch = doc["architecture"]
     config = ArchitectureConfig(arch["spatial_dim"], arch["n_y"], arch["n_u"])

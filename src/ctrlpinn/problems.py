@@ -63,7 +63,7 @@ class ControlProblem:
     domain: Domain
     n_y: int
     n_u: int
-    probe_reads_adjoint = True  # False: probe_report ignores lam, so probes skip it
+    probe_through = "lam"  # the last head probe_report reads; probes stop there
 
     def arch_config(self) -> ArchitectureConfig:
         return ArchitectureConfig(self.domain.spatial_dim, self.n_y, self.n_u)
@@ -163,18 +163,19 @@ class ControlProblem:
 
     # Outputs of a trained network --------------------------------------------
 
-    def field_values(self, params, n, adjoint=False):
+    def field_values(self, params, n, through="u"):
         """The network's heads on the regular grid of ``n`` points per axis.
 
         Returns ``(t, x, (y, u, lam))``: the grid's points as
-        :meth:`probe_points` lays them out, and each head reshaped to
-        (components, n, ...).  lam is None unless ``adjoint``.
+        :meth:`probe_points` lays them out, and each head up to ``through``
+        reshaped to (components, n, ...).  The heads after ``through`` are
+        None; by default that is lam.
         """
         # Imported here: trainer imports this module (through sampler).
         from .trainer import forward_chunked
 
         t, x, shape = self.probe_points((n,) * (1 + self.domain.spatial_dim))
-        heads = forward_chunked(params, t, x, adjoint=adjoint)
+        heads = forward_chunked(params, t, x, through=through)
         return t, x, tuple(None if h is None else h.reshape(h.shape[0], *shape) for h in heads)
 
     def sampled_field(self, values):
@@ -287,7 +288,7 @@ class AnalyticalProblem(ControlProblem):
     # outputs -----------------------------------------------------------------
 
     def write_artifacts(self, params, final_probe, out):
-        t, _, (y, u, lam) = self.field_values(params, 1001, adjoint=True)
+        t, _, (y, u, lam) = self.field_values(params, 1001, through="lam")
         refs = (self.y_star(t), self.u_star(t), self.lam_star(t))
         rows = ["t,y,u,lam,y_ref,u_ref,lam_ref"] + [
             ",".join(repr(float(v)) for v in vals) for vals in zip(t, y[0], u[0], lam[0], *refs)
@@ -344,7 +345,7 @@ class HeatProblem(ControlProblem):
     name = "heat"
     n_y = 1
     n_u = 1
-    probe_reads_adjoint = False
+    probe_through = "u"
 
     def __init__(self, diffusivity: float = 0.1, interior_tracking: bool = False):
         self.domain = Domain(0.0, 1.0, ((0.0, 1.0),))
@@ -517,7 +518,7 @@ class PredatorPreyProblem(ControlProblem):
     name = "predator_prey"
     n_y = 2
     n_u = 1
-    probe_reads_adjoint = False
+    probe_through = "y"
 
     def __init__(self, track_y1: bool = False, target_supervision: bool = False):
         self.domain = Domain(0.0, 1.0, ((0.0, 1.0), (0.0, 1.0)))
@@ -637,7 +638,7 @@ class PredatorPreyProblem(ControlProblem):
         g1, g2 = np.meshgrid(*(np.linspace(lo, hi, n) for lo, hi in self.domain.x_bounds), indexing="ij")
         pts = np.column_stack([g1.ravel(), g2.ravel()])
         tf = self.domain.tf
-        y, u, _ = forward_chunked(params, np.full(pts.shape[0], tf), pts, adjoint=False)
+        y, u, _ = forward_chunked(params, np.full(pts.shape[0], tf), pts, through="u")
         y2 = y[1].reshape(n, n)
         target = self.y2_target(tf, g1, g2)
         err = np.abs(y2 - target)

@@ -4,8 +4,9 @@
 refactor that renames or bypasses one of them would silently drop that
 layer from ``bench/run.py --trace 1``.  These tests run CLI commands in a
 child process with the traced recorder installed: two predator-prey epochs,
-whose traced epoch must carry every per-epoch label, and a tiny heat run
-plus its validation, whose validate phase must carry the validator timers.
+whose traced epoch must carry every per-epoch label, plus their validation,
+which must be timed through the probe; and a tiny heat run plus its
+validation, whose validate phase must carry the validator timers.
 Nothing under ``bench/`` is written.
 """
 
@@ -72,7 +73,7 @@ def _traced(tmp_path, config_text, commands):
 
 
 def test_traced_recorder_times_every_epoch_layer(tmp_path):
-    result = _traced(tmp_path, TINY_PREDATOR_PREY, [])
+    result = _traced(tmp_path, TINY_PREDATOR_PREY, [("validate", "validate", [])])
     # only odd epochs are timed: epoch 1 of 2
     assert len(result["epochs"]) == 1
     labels = set(result["epochs"][0])
@@ -84,6 +85,8 @@ def test_traced_recorder_times_every_epoch_layer(tmp_path):
         "trainer.adam",
     ):
         assert label in labels
+    for label in ("train:trainer.checkpoint_write", "validate:trainer.probe", "validate:network.forward_values"):
+        assert label in result["calls"]
 
 
 def test_traced_recorder_times_the_validators(tmp_path):

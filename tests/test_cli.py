@@ -118,6 +118,30 @@ def test_run_that_overflows_the_network_exits_diverged(tmp_path, capsys):
     assert (out / "metrics.csv").exists() and (out / "checkpoint_final.json").exists()
     assert not (out / "final_solution.csv").exists()
     assert "training diverged" in capsys.readouterr().err
+    # the overflowing checkpoint is an unusable artifact for the other commands
+    for command in ("validate", "export"):
+        assert cli.main([command, str(out), "--resolution", "21"]) == cli.EXIT_MISSING
+        assert "overflows: non-finite activation in layer" in capsys.readouterr().err
+    assert not (out / "validation" / "report.json").exists()
+    assert not (out / "export_u.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--epochs", "-3"], ["train", "--seed", "-1"],
+    ["validate", "--resolution", "1"], ["validate", "--resolution", "0"], ["validate", "--resolution", "-5"],
+    ["export", "--resolution", "0"],
+], ids=" ".join)
+def test_out_of_range_flag_exits_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    if argv[0] == "train":
+        argv = [*argv, "--config", _cfg(tmp_path, TINY_ANALYTICAL), "--out", str(out)]
+    else:
+        argv = [*argv, str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"argument {argv[1]}: must be >=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_new_problem_class_runs_through_every_command(tmp_path, monkeypatch):

@@ -94,6 +94,7 @@ def test_negative_lr_half_life_reports_line(tmp_path):
     ("adam", "lr = nan"), ("adam", "lr = 0"), ("adam", "eps = -1e-8"),
     ("adam", "beta1 = 1.0"), ("adam", "beta2 = -0.1"),
     ("run", "eval_every = -1"), ("run", "checkpoint_every = -2"),
+    ("run", "epochs = -3"), ("run", "long_epochs = -1"), ("run", "seed = -1"),
 ])
 def test_out_of_range_value_reports_line(tmp_path, section, line):
     text = f"[run]\nproblem = analytical\n\n[{section}]\n{line}\n"

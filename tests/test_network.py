@@ -68,14 +68,21 @@ def test_output_widths_follow_config():
     assert lam.shape == (2, 2)
 
 
-def test_skipping_the_adjoint_branch_keeps_y_and_u():
+@pytest.mark.parametrize("through", ["y", "u"])
+def test_skipping_the_adjoint_branch_keeps_y_and_u(through):
+    # the heads up to `through` are bitwise those of the full pass; later ones are None
     params = init_params(ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1), seed=4)
     rng = np.random.default_rng(0)
     t, x = rng.uniform(0, 1, 300), rng.uniform(0, 1, (300, 2))
-    y, u, lam = forward_values(params, t, x)
-    y2, u2, lam2 = forward_values(params, t, x, adjoint=False)
-    assert lam2 is None and lam.shape == (2, 300)
-    assert np.array_equal(y, y2) and np.array_equal(u, u2)
+    full = forward_values(params, t, x)
+    part = forward_values(params, t, x, through=through)
+    assert full[2].shape == (2, 300)
+    kept = ("y", "u", "lam").index(through) + 1
+    for head, head_full in zip(part[:kept], full):
+        assert np.array_equal(head, head_full)
+    assert all(head is None for head in part[kept:])
+    with pytest.raises(ValueError):
+        forward_values(params, t, x, through="adjoint")
 
 
 def test_lambda_head_width_equals_state_width():

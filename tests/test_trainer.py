@@ -1,8 +1,12 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
 from ctrlpinn.loss import LossWeights
-from ctrlpinn.problems import get_problem
+from ctrlpinn.network import init_params
+from ctrlpinn.problems import PROBLEMS, get_problem
 from ctrlpinn.sampler import SampleSizes
 from ctrlpinn.trainer import (
     AdamState,
@@ -10,6 +14,7 @@ from ctrlpinn.trainer import (
     TrainSettings,
     adam_step,
     evaluate_probe,
+    forward_chunked,
     load_checkpoint,
     read_metrics,
     resume,
@@ -71,8 +76,6 @@ def test_zero_epochs_returns_initial_evaluation_only():
     assert record.history == []
     assert record.initial_probe is not None
     init_flat = record.params.to_flat()
-    from ctrlpinn.network import init_params
-
     assert np.array_equal(init_flat, init_params(problem.arch_config(), 3).to_flat())
 
 
@@ -98,22 +101,71 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     assert np.array_equal(resumed.params.to_flat(), full.params.to_flat())
 
 
+def _assert_same_adam(a, b):
+    assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
+    assert (a.step, a.lr, a.beta1, a.beta2, a.eps) == (b.step, b.lr, b.beta1, b.beta2, b.eps)
+
+
 def test_checkpoint_round_trip_preserves_state(tmp_path):
     problem = get_problem("analytical")
-    settings = TrainSettings(epochs=3, seed=2, sizes=SMALL, eval_every=0)
+    settings = TrainSettings(epochs=3, seed=2, sizes=SMALL, eval_every=0, beta1=0.8, eps=1e-7)
     record = train(problem, settings, out_dir=tmp_path)
     params, adam, rng, epoch = load_checkpoint(tmp_path / "checkpoint_final.json")
     assert epoch == 3
     assert adam.step == 3
+    assert (adam.beta1, adam.eps) == (0.8, 1e-7)
     assert np.array_equal(params.to_flat(), record.params.to_flat())
     path2 = tmp_path / "again.json"
     save_checkpoint(path2, params, adam, rng, epoch)
     params2, adam2, rng2, _ = load_checkpoint(path2)
     assert np.array_equal(params2.to_flat(), params.to_flat())
-    assert np.array_equal(adam2.m, adam.m)
+    _assert_same_adam(adam2, adam)
     assert np.array_equal(
         rng2.bit_generator.state["state"]["counter"], rng.bit_generator.state["state"]["counter"]
     )
+
+
+def test_checkpoint_params_stay_a_decimal_list(tmp_path):
+    # the parameters are read as a plain JSON list outside the package too
+    problem = get_problem("analytical")
+    record = train(problem, TrainSettings(epochs=2, seed=4, sizes=SMALL, eval_every=0), out_dir=tmp_path)
+    doc = json.loads((tmp_path / "checkpoint_final.json").read_text())
+    assert doc["format"] == "ctrlpinn-params/2"
+    assert all(type(value) is float for value in doc["params"])
+    assert np.array_equal(np.array(doc["params"]), record.params.to_flat())
+    _, adam, _, _ = load_checkpoint(tmp_path / "checkpoint_final.json")
+    moment = np.frombuffer(base64.b64decode(doc["extra"]["adam"]["m"]), dtype="<f8")
+    assert np.array_equal(moment, adam.m)
+
+
+def test_checkpoint_bytes_are_deterministic(tmp_path):
+    problem = get_problem("analytical")
+    train(problem, TrainSettings(epochs=2, seed=4, sizes=SMALL, eval_every=0), out_dir=tmp_path)
+    state = load_checkpoint(tmp_path / "checkpoint_final.json")
+    for name in ("a.json", "b.json"):
+        save_checkpoint(tmp_path / name, *state)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_format_1_checkpoint_loads_and_resumes(tmp_path):
+    # format /1 wrote the ADAM moments as decimal lists
+    problem = get_problem("analytical")
+    settings = TrainSettings(epochs=6, seed=9, sizes=SMALL, eval_every=0, checkpoint_every=4)
+    full = train(problem, settings, out_dir=tmp_path / "full")
+    path = tmp_path / "full" / "checkpoint_000004.json"
+    _, adam, _, _ = load_checkpoint(path)
+    doc = json.loads(path.read_text())
+    doc["format"] = "ctrlpinn-params/1"
+    doc["extra"]["adam"].update(m=adam.m.tolist(), v=adam.v.tolist())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc, separators=(",", ":")))
+
+    _, old_adam, _, epoch = load_checkpoint(old)
+    assert epoch == 4
+    _assert_same_adam(old_adam, adam)
+    resumed = resume(problem, settings, old, n_epochs=2)
+    assert [row["total"] for row in resumed.history] == [row["total"] for row in full.history[4:]]
+    assert np.array_equal(resumed.params.to_flat(), full.params.to_flat())
 
 
 def test_lr_half_life_schedule(tmp_path):
@@ -173,9 +225,17 @@ def test_loss_trend_is_nonincreasing_on_moving_average(analytical_run_300):
 
 def test_probe_evaluation_shapes():
     problem = get_problem("predator_prey")
-    from ctrlpinn.network import init_params
-
     params = init_params(problem.arch_config(), seed=0)
     report = evaluate_probe(params, problem, shape=(3, 11, 11), with_curve=True)
     assert set(report) >= {"err_y", "err_u", "err_lam", "error_by_time"}
     assert len(report["error_by_time"]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_probe_report_equals_the_report_of_a_full_pass(name):
+    # probes stop at the last head the report reads; the report must not change
+    problem = get_problem(name)
+    params = init_params(problem.arch_config(), seed=6)
+    t, x, _ = problem.probe_points()
+    full = problem.probe_report(t, x, *forward_chunked(params, t, x), with_curve=True)
+    assert evaluate_probe(params, problem, with_curve=True) == full
