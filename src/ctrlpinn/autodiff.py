@@ -33,31 +33,6 @@ class EvaluationError(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# ELU and its derivative family.
-#
-# ELU is not twice differentiable at z = 0: the second derivative is e^z on
-# the negative branch (limit 1) and 0 on the positive one.  We pin the value
-# at the kink to the negative-branch limit so jets are continuous from below.
-# On the negative branch every further derivative is again e^z; on the
-# positive branch they vanish.
-
-
-def elu_factors(z):
-    """(value, d1, d2) of ELU at ``z`` using a single exponential pass.
-
-    With e = exp(min(z, 0)): d1 = e (exactly 1 on the positive branch),
-    d2 = e - [z > 0] and value = (e - 1) + max(z, 0).  On each branch one
-    term is exactly zero, so these equal the branchwise definitions bit for
-    bit, including at z = +-0.
-    """
-    e = np.exp(np.minimum(z, 0.0))
-    d2 = e - (z > 0.0)
-    value = e - 1.0
-    value += np.maximum(z, 0.0)
-    return value, e, d2
-
-
-# --------------------------------------------------------------------------
 # Derivative requests and jet containers.
 
 

@@ -12,11 +12,14 @@ a bundle of per-component (width, n_points) arrays: the value, then the
 requested input partials d/dt and d/dx_i, then one second-order slot that
 holds the sum of the pure second partials over the carried axes (the
 Laplacian y_x1x1 + y_x2x2 in 2-D, y_xx in 1-D).  Each layer applies one
-matrix product per component.  The tape runs its points in column blocks of
-at most ``BLOCK_POINTS``, so that each component of a block stays in cache
-through a layer's elementwise rules; only the head outputs are joined back
-into whole-batch arrays.  Plain value passes (:func:`forward_values`) carry
-the value alone and stop after the last head their caller reads.
+matrix product per component, and ELU then overwrites the product in place,
+so the tape records no pre-activations: per hidden layer it keeps the output
+bundle (which is also the next layer's input) and three activation factors.
+The tape runs its points in column blocks of at most ``BLOCK_POINTS``, so
+that each component of a block stays in cache through a layer's elementwise
+rules; only the head outputs are joined back into whole-batch arrays.  Plain
+value passes (:func:`forward_values`) carry the value alone and stop after
+the last head their caller reads.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .autodiff import (
     HeadJets,
     JetSpec,
     Var,
-    elu_factors,
 )
 
 HIDDEN_WIDTH = 100
@@ -172,8 +174,18 @@ def init_params(config: ArchitectureConfig, seed: int) -> ControlPinnParams:
 #   reverse:  the per-axis adjoint rules, summed over i,
 #
 # with d1, d2 ELU's first two derivatives at z (its third equals the
-# second).  Components stay separate: every product then runs at
-# the BLAS shape (width, width) x (width, block), and stacking them into one
+# second).  ELU is not twice differentiable at z = 0: d2 is e^z on the
+# negative branch and 0 on the positive one, and the kink takes the
+# negative-branch limit 1, so jets are continuous from below.
+#
+# Each hidden layer's dense product makes a fresh pre-activation bundle, and
+# ELU overwrites it with the output bundle (in-place activation, as in
+# Rota Bulo et al., arXiv:1712.02616).  The reverse pass reads the output's
+# partials instead of the pre-activation's, so a layer's record holds its
+# input and output bundles, both shared with its neighbours, plus d1, the
+# mask z <= 0 and the one array its second-order rule needs.  Components
+# stay separate: every product then runs at the BLAS shape
+# (width, width) x (width, block), and stacking them into one
 # (width, k * n_points) array measured slower for these widths.
 
 # Columns per block.  A (100, 256) component is 200 KB, so the few arrays
@@ -235,21 +247,39 @@ def _dense_fwd(dense: Dense, j: _Bundle, label: str) -> _Bundle:
 
 
 def _act_fwd(z: _Bundle):
-    """ELU output bundle plus what the reverse pass needs.
+    """Apply ELU to the pre-activation bundle ``z`` in place.
 
-    Returns ``(out, d1, d2, sq)`` where ``sq`` is sum_i zx_i^2 (None without
-    a second-order slot).
+    ``z``'s arrays become the output bundle.  Returns ``(d1, m, w)``, what
+    the reverse pass needs: d1 = e = exp(min(z, 0)), ELU's first derivative;
+    the mask m = (z <= 0); and w = d2 * (sum_i zx_i^2 + lap_z), with
+    d2 = d1 * m the second derivative (None without a second-order slot).
+    Everything read from ``z`` is taken before its array is overwritten.
     """
-    val, d1, d2 = elu_factors(z.val)
-    lap = sq = None
+    zv = z.val
+    d1 = np.minimum(zv, 0.0)
+    np.exp(d1, out=d1)
+    m = zv <= 0.0
+    # value = max(z, 0) + (e - 1): on each branch one term is exactly zero,
+    # so this is the branch value bit for bit, signed zeros included.
+    em1 = d1 - 1.0
+    np.maximum(zv, 0.0, out=zv)
+    zv += em1
+    w = None
     if z.lap is not None:
         sq = z.dx[0] * z.dx[0]
         for zx in z.dx[1:]:
             sq += zx * zx
-        lap = d1 * z.lap
-        lap += sq * d2
-    out = _Bundle(val, d1 * z.dt if z.dt is not None else None, [d1 * d for d in z.dx], lap)
-    return out, d1, d2, sq
+        d2 = d1 * m
+        w = sq + z.lap
+        w *= d2
+        z.lap *= d1
+        sq *= d2
+        z.lap += sq
+    if z.dt is not None:
+        z.dt *= d1
+    for zx in z.dx:
+        zx *= d1
+    return d1, m, w
 
 
 def _dense_bwd(dense: Dense, j_in: _Bundle, g_out: _Bundle, grads) -> _Bundle:
@@ -266,34 +296,34 @@ def _dense_bwd(dense: Dense, j_in: _Bundle, g_out: _Bundle, grads) -> _Bundle:
     )
 
 
-def _act_bwd(z: _Bundle, d1, d2, sq, g: _Bundle) -> _Bundle:
+def _act_bwd(out: _Bundle, d1, m, w, g: _Bundle) -> _Bundle:
     """Pull adjoints back through the activation's jet rules.
 
-    Mutates ``g`` in place (its arrays are owned by the reverse pass).  For
-    ELU the third derivative equals the second (e^z on the negative branch,
-    0 elsewhere), so d2 serves for both factors below.  The value adjoint
+    ``out`` is the layer's output bundle and ``(d1, m, w)`` what
+    :func:`_act_fwd` returned.  Mutates ``g`` in place (its arrays are owned
+    by the reverse pass).  For ELU the third derivative equals the second
+    (e^z on the negative branch, 0 elsewhere), so d2 serves for both factors
+    below, and d2 * zx = m * (d1 * zx) = m * outx on both branches, so the
+    output's partials stand in for the pre-activation's.  The value adjoint
     collects the time term, then every first-partial term, then the
     second-order term.
     """
     gv = g.val
     gv *= d1
     if g.dt is not None:
-        tmp = d2 * z.dt
+        tmp = m * out.dt
         tmp *= g.dt
         gv += tmp
         g.dt *= d1
     d2_zx = []
-    for zx, gx in zip(z.dx, g.dx):
-        a = d2 * zx
+    for ox, gx in zip(out.dx, g.dx):
+        a = m * ox
         gv += a * gx
         gx *= d1
         d2_zx.append(a)
     if g.lap is not None:
         gl = g.lap
-        tmp = sq + z.lap
-        tmp *= d2
-        tmp *= gl
-        gv += tmp
+        gv += w * gl
         for a, gx in zip(d2_zx, g.dx):
             a *= gl
             a *= 2.0
@@ -324,10 +354,12 @@ def _bundle_iadd_rows(target: _Bundle, source: _Bundle, lo: int, hi: int):
 class _Block:
     """The recorded jet pass of one column block.
 
-    ``records[branch]`` lists, per hidden layer, the layer's input bundle,
-    its pre-activation bundle and the activation factors; ``head_in[name]``
-    is the hidden bundle that feeds head ``name``, whose output bundle is
-    ``heads[name]``.
+    ``records[branch]`` lists, per hidden layer, the tuple
+    ``(input bundle, output bundle, d1, m, w)``: the bundles are shared, as
+    each layer's output is the next layer's input, and ``(d1, m, w)`` are
+    :func:`_act_fwd`'s factors.  No pre-activation bundle is kept, because
+    ELU runs in place.  ``head_in[name]`` is the hidden bundle that feeds
+    head ``name``, whose output bundle is ``heads[name]``.
     """
 
     __slots__ = ("records", "head_in", "heads")
@@ -338,9 +370,9 @@ class _Block:
         def run_branch(label, denses, bundle):
             records = []
             for i, dense in enumerate(denses):
-                z = _dense_fwd(dense, bundle, f"{label}.{i}")
-                out, d1, d2, sq = _act_fwd(z)
-                records.append((bundle, z, d1, d2, sq))
+                out = _dense_fwd(dense, bundle, f"{label}.{i}")
+                d1, m, w = _act_fwd(out)  # out now holds the layer's output
+                records.append((bundle, out, d1, m, w))
                 bundle = out
             self.records[label] = records
             return bundle
@@ -365,8 +397,8 @@ class _Block:
         def branch_bwd(label, denses, g_out):
             records = self.records[label]
             for i in range(len(denses) - 1, -1, -1):
-                j_in, z, d1, d2, sq = records[i]
-                g_z = _act_bwd(z, d1, d2, sq, g_out)
+                j_in, out, d1, m, w = records[i]
+                g_z = _act_bwd(out, d1, m, w, g_out)
                 g_out = _dense_bwd(denses[i], j_in, g_z, grads[f"{label}.{i}"])
             return g_out
 
@@ -466,12 +498,12 @@ def _act_values(z):
     """ELU as exp(min(z, 0)) - 1 + max(z, 0), with one exponential pass.
 
     At most one of the two parts is nonzero, so the sum is exactly the
-    branch value.
+    branch value.  Consumes ``z``: max(z, 0) is written into its buffer.
     """
     out = np.minimum(z, 0.0)
     np.exp(out, out=out)
     out -= 1.0
-    out += np.maximum(z, 0.0)
+    out += np.maximum(z, 0.0, out=z)
     return out
 
 

@@ -1,6 +1,8 @@
 """Independent oracles: symbolic closed-form benchmark solutions, ELU's
-branchwise definitions, finite differences of the network on stencils that
-avoid ELU's kinks, and the step-by-step FTCS heat solver.
+branchwise definitions, the out-of-place ELU jet rules that the training
+tape's in-place ones must match bit for bit, finite differences of the
+network on stencils that avoid ELU's kinks, and the step-by-step FTCS heat
+solver.
 
 The closed-form derivatives come from sympy and the network's
 pre-activations are recomputed from its raw weights, never through the
@@ -17,7 +19,7 @@ import numpy as np
 import sympy as sp
 
 from ctrlpinn.loss import LossWeights, evaluate_with_graph
-from ctrlpinn.network import forward_values
+from ctrlpinn.network import _Bundle, forward_values
 from ctrlpinn.validators import ControlField, DnsSolution, StabilityError
 
 _t, _x = sp.symbols("t x")
@@ -48,8 +50,8 @@ heat_y_xx = sp.lambdify((_t, _x), sp.diff(_heat_y, _x, 2), "numpy")
 
 
 # ELU and its first two derivatives, branch by branch; the second derivative
-# at the kink is pinned to the negative-branch limit 1.
-# ``ctrlpinn.autodiff.elu_factors`` must equal these bit for bit.
+# at the kink is pinned to the negative-branch limit 1.  The training tape's
+# ELU (``ctrlpinn.network._act_fwd``) must equal these bit for bit.
 
 
 def elu(z):
@@ -65,6 +67,65 @@ def elu_d1(z):
 def elu_d2(z):
     z = np.asarray(z, dtype=float)
     return np.where(z > 0.0, 0.0, np.exp(np.minimum(z, 0.0)))
+
+
+# The training tape's ELU jet rules as they were before they ran in place:
+# the forward pass keeps the pre-activation bundle ``z`` and returns a new
+# output bundle, and the reverse pass reads ``z``'s partials, d2 and
+# sq = sum_i zx_i^2.  ``ctrlpinn.network._act_fwd`` and ``_act_bwd`` must
+# give the same bits.
+
+
+def elu_factors(z):
+    """(value, d1, d2) of ELU at ``z`` using a single exponential pass."""
+    e = np.exp(np.minimum(z, 0.0))
+    d2 = e - (z > 0.0)
+    value = e - 1.0
+    value += np.maximum(z, 0.0)
+    return value, e, d2
+
+
+def act_fwd(z):
+    """ELU output bundle plus ``(d1, d2, sq)``; ``z`` is left unchanged."""
+    val, d1, d2 = elu_factors(z.val)
+    lap = sq = None
+    if z.lap is not None:
+        sq = z.dx[0] * z.dx[0]
+        for zx in z.dx[1:]:
+            sq += zx * zx
+        lap = d1 * z.lap
+        lap += sq * d2
+    out = _Bundle(val, d1 * z.dt if z.dt is not None else None, [d1 * d for d in z.dx], lap)
+    return out, d1, d2, sq
+
+
+def act_bwd(z, d1, d2, sq, g):
+    """Adjoints pulled back through ELU's jet rules; mutates ``g``."""
+    gv = g.val
+    gv *= d1
+    if g.dt is not None:
+        tmp = d2 * z.dt
+        tmp *= g.dt
+        gv += tmp
+        g.dt *= d1
+    d2_zx = []
+    for zx, gx in zip(z.dx, g.dx):
+        a = d2 * zx
+        gv += a * gx
+        gx *= d1
+        d2_zx.append(a)
+    if g.lap is not None:
+        gl = g.lap
+        tmp = sq + z.lap
+        tmp *= d2
+        tmp *= gl
+        gv += tmp
+        for a, gx in zip(d2_zx, g.dx):
+            a *= gl
+            a *= 2.0
+            gx += a
+        gl *= d1
+    return g
 
 
 def rel_err(a, b, floor=1.0):

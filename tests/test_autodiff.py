@@ -2,24 +2,41 @@ import numpy as np
 import pytest
 
 from ctrlpinn import autodiff
-from ctrlpinn.autodiff import Jet, JetSpec, Var, elu_factors
+from ctrlpinn.autodiff import Jet, JetSpec, Var
 from ctrlpinn.network import (
     BLOCK_POINTS,
     ArchitectureConfig,
     ControlPinnParams,
     Dense,
     NetworkTape,
+    _act_bwd,
     _act_fwd,
+    _act_values,
+    _Bundle,
     _dense_fwd,
     _input_bundle,
     init_params,
 )
 
+import oracles
 from oracles import elu, elu_d1, elu_d2, forward, kink_free_derivative, kink_free_stencil, loss_gradient
 from oracles import rel_err, sign_pattern
 
 
 # -- ELU derivative family ----------------------------------------------------
+
+
+def _tape_elu_factors(z):
+    """(value, d1, d2) of ELU at ``z`` as the training tape computes them.
+
+    A bundle with zx = 1 and lap_z = 0 comes out of the in-place rule holding
+    them as its value, its partial and its Laplacian slot."""
+    z = np.array(z, dtype=float)
+    row = z.reshape(1, -1)
+    bundle = _Bundle(row, dx=[np.ones_like(row)], lap=np.zeros_like(row))
+    d1 = _act_fwd(bundle)[0]
+    assert np.array_equal(d1.view(np.int64), bundle.dx[0].view(np.int64))
+    return tuple(a.reshape(z.shape) for a in (bundle.val, d1, bundle.lap))
 
 
 def test_elu_values_and_derivatives():
@@ -28,13 +45,13 @@ def test_elu_values_and_derivatives():
     assert np.allclose(elu_d1(z), np.where(z > 0, 1.0, np.exp(np.minimum(z, 0))))
     # second derivative at the kink is pinned to the negative branch limit
     assert elu_d2(np.array(0.0)) == 1.0
-    assert elu_factors(np.array(0.0))[2] == 1.0
+    assert _tape_elu_factors(0.0)[2] == 1.0
 
 
 def test_elu_factors_match_reference_functions():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((40, 60)) * 3.0
-    value, d1, d2 = elu_factors(z)
+    value, d1, d2 = _tape_elu_factors(z)
     assert np.array_equal(value, elu(z))
     assert np.array_equal(d1, elu_d1(z))
     assert np.array_equal(d2, elu_d2(z))
@@ -62,8 +79,9 @@ def test_single_elu_neuron_second_derivative():
     x = np.array([[0.25]])
     inp = _input_bundle(t, x, JetSpec())
     z = _dense_fwd(Dense(np.array([[0.0, w]]), np.array([b])), inp, "test")
-    out = _act_fwd(z)[0]
     assert z.val[0, 0] == pytest.approx(-1.0)
+    _act_fwd(z)  # z becomes the output bundle
+    out = z
     assert out.lap[0, 0] == pytest.approx(w * w * np.exp(-1.0), rel=1e-12)
 
 
@@ -265,15 +283,74 @@ def test_second_order_composition_gradient_matches_fd():
 
 
 def test_elu_factors_bitwise_on_edge_values():
-    # the where-free factors against the branchwise definitions, bit for bit
-    # (signed zeros included), on random values across many magnitudes plus
-    # the edges of the double range
+    # the where-free factors of the tape's in-place rule, and the value
+    # passes' ELU, against the branchwise definitions, bit for bit (signed
+    # zeros included), on random values across many magnitudes plus the
+    # edges of the double range
     rng = np.random.default_rng(5)
     edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 700.0, -745.0, -800.0, 1e308, -1e308]
     z = np.concatenate([rng.standard_normal(10**6) * 10.0 ** rng.uniform(-8, 3, 10**6), edges])
-    value, d1, d2 = elu_factors(z)
-    for got, ref in ((value, elu(z)), (d1, elu_d1(z)), (d2, elu_d2(z))):
+    value, d1, d2 = _tape_elu_factors(z)
+    for got, ref in ((value, elu(z)), (d1, elu_d1(z)), (d2, elu_d2(z)), (_act_values(z.copy()), elu(z))):
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+EDGE_PREACTIVATIONS = [0.0, -0.0, 5e-324, -5e-324, -745.0, -800.0, 700.0]
+
+
+@pytest.mark.parametrize(
+    "spatial_dim, time, second",
+    [(0, False, False), (0, True, False)] + [(sd, t, s) for sd in (1, 2) for t in (False, True) for s in (False, True)],
+)
+def test_in_place_elu_rules_match_out_of_place_rules_bitwise(spatial_dim, time, second):
+    # the in-place forward rule and the reverse rule that reads the output's
+    # partials against the out-of-place pair that kept the pre-activations
+    rng = np.random.default_rng(100 + 4 * spatial_dim + 2 * time + second)
+    shape = (5, 40)
+    edges = len(EDGE_PREACTIVATIONS)
+
+    def component():
+        # random entries with signed zeros, both zeros at every edge value
+        a = rng.standard_normal(shape)
+        pick = rng.uniform(size=shape)
+        a[pick < 0.1] = 0.0
+        a[pick > 0.9] = -0.0
+        a[0, :edges] = 0.0
+        a[1, :edges] = -0.0
+        return a
+
+    def bundle():
+        return _Bundle(
+            component(),
+            component() if time else None,
+            [component() for _ in range(spatial_dim)],
+            component() if second else None,
+        )
+
+    def copy(b):
+        return _Bundle(
+            b.val.copy(),
+            b.dt.copy() if b.dt is not None else None,
+            [d.copy() for d in b.dx],
+            b.lap.copy() if b.lap is not None else None,
+        )
+
+    def assert_same_bits(got, ref):
+        assert (got.dt is None, len(got.dx), got.lap is None) == (ref.dt is None, len(ref.dx), ref.lap is None)
+        for a, b in zip(got.comps(), ref.comps()):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    z = bundle()
+    z.val *= 3.0
+    z.val[:, :edges] = EDGE_PREACTIVATIONS
+    ref_out, ref_d1, d2, sq = oracles.act_fwd(z)
+    out = copy(z)
+    d1, m, w = _act_fwd(out)
+    assert_same_bits(out, ref_out)
+    assert np.array_equal(d1.view(np.int64), ref_d1.view(np.int64))
+
+    g = bundle()
+    assert_same_bits(_act_bwd(out, d1, m, w, copy(g)), oracles.act_bwd(z, ref_d1, d2, sq, copy(g)))
 
 
 def _batch_2d(n, seed):

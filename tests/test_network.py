@@ -1,6 +1,11 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ctrlpinn.config import parse_config
+from ctrlpinn.loss import loss_and_gradient
 from ctrlpinn.network import (
     ADJOINT_LAYERS,
     CONTROL_LAYERS,
@@ -14,6 +19,7 @@ from ctrlpinn.network import (
     load_params,
     save_params,
 )
+from ctrlpinn.sampler import make_rng, sample
 
 from oracles import forward
 
@@ -147,3 +153,21 @@ def test_config_validation():
         ArchitectureConfig(spatial_dim=-1)
     with pytest.raises(ValueError):
         ArchitectureConfig(spatial_dim=1, n_y=0)
+
+
+@pytest.mark.parametrize("config_name, bound_mib", [("predator_prey", 100.0), ("heat", 32.0)])
+def test_loss_and_gradient_peak_memory(config_name, bound_mib):
+    # one training step of the shipped config's batch; recording each hidden
+    # layer's pre-activation bundle next to its output peaked at 136.4 MiB
+    # (predator-prey) and 39.7 MiB (heat)
+    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / f"{config_name}.cfg")
+    problem = config.make_problem()
+    params = init_params(problem.arch_config(), seed=7)
+    batch = sample(problem.domain, config.sizes, make_rng(11), 1)
+    tracemalloc.start()
+    try:
+        loss_and_gradient(params, problem, batch, config.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
