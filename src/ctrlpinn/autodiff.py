@@ -1,16 +1,17 @@
-"""Exact derivatives of network outputs and of scalar losses built from them.
+"""Jet containers and the reverse-mode tape that builds losses from them.
 
-Two cooperating mechanisms:
-
-* forward jets -- every hidden quantity is carried together with its requested
-  input partials (d/dt, d/dx_i, and the sum of the pure second partials
-  d2/dx_i2, i.e. the Laplacian) and propagated layer by layer with
-  closed-form rules, so output derivatives are exact for the network function
-  rather than finite-difference estimates;
-* reverse accumulation -- scalar losses assembled from jet components (via the
-  small array-valued ``Var`` tape below) are differentiated with respect to
-  all network weights by backpropagating adjoints through the recorded jet
-  computation.
+* :class:`JetSpec` says which input partials a forward pass carries: d/dt,
+  d/dx_i per carried axis, and one second-order slot that sums the pure
+  second partials d2/dx_i2 (the Laplacian when every axis is carried).
+* :class:`Jets` holds one stage of the network with those partials.  The
+  training tape (``network.NetworkTape``) propagates them layer by layer
+  with closed-form rules, so output derivatives are exact for the network
+  function, and hands each output head to the loss as ``Jets`` of
+  :class:`Var` leaves.
+* :class:`Var` is a small array-valued tape: the residuals and the scalar
+  loss are assembled from jet slots, and ``backward()`` leaves the adjoint
+  of every slot in its leaf's ``grad``, from which the network tape
+  accumulates the weight gradient.
 
 The input dimension is tiny (<= 3) while the parameter count is ~1e5, so
 forward-in-inputs x reverse-in-parameters keeps the total cost at a small
@@ -19,7 +20,7 @@ constant multiple of a plain forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,39 +69,46 @@ class JetSpec:
         return self.axes
 
 
-FULL_JETS = JetSpec(time=True, space_order=2)
 VALUES_ONLY = JetSpec(time=False, space_order=0)
 
 
-@dataclass
-class Jet:
-    """Value of one output head at a point together with its input partials.
+class Jets:
+    """One stage of the network with the input partials its JetSpec carries.
 
-    ``d_dx`` and ``d2_dx2`` have exactly ``spatial_dim`` columns (zero columns
-    for pure ODE problems); unrequested slots are ``None``.
+    ``val`` is the value, ``dt`` the partial in t, ``dx[i]`` the partial
+    along the i-th carried axis and ``lap`` the second-order slot; slots
+    that are not carried are None (``dx`` is then empty).  Each slot holds
+    one array of shape (components, points) on the training tape, a
+    :class:`Var` leaf of that shape for the loss, or plain arrays when a
+    closed-form oracle stands in for the network.  ``jets.dt[j]`` is then
+    component j's partial in t over the batch.
     """
 
-    value: np.ndarray
-    d_dt: np.ndarray | None
-    d_dx: np.ndarray | None
-    d2_dx2: np.ndarray | None
+    __slots__ = ("val", "dt", "dx", "lap")
 
+    def __init__(self, val, dt=None, dx=(), lap=None):
+        self.val = val
+        self.dt = dt
+        self.dx = list(dx)
+        self.lap = lap
 
-@dataclass
-class HeadJets:
-    """Batched per-component jet bundle for one output head.
+    def comps(self):
+        """The carried slots in order: val, dt, each dx, lap."""
+        yield self.val
+        if self.dt is not None:
+            yield self.dt
+        yield from self.dx
+        if self.lap is not None:
+            yield self.lap
 
-    Entries are ``Var`` tape leaves during training, or plain arrays when a
-    closed-form oracle stands in for the network.  Indexing convention:
-    ``value[j]`` is component j over the batch, ``d_dx[j][i]`` its first
-    partial along spatial coordinate i, and ``laplacian[j]`` the sum of its
-    pure second partials over the spatial coordinates.
-    """
-
-    value: list
-    d_dt: list | None = None
-    d_dx: list | None = None
-    laplacian: list | None = None
+    def map(self, f):
+        """``Jets`` with ``f`` applied to every carried slot."""
+        return Jets(
+            f(self.val),
+            f(self.dt) if self.dt is not None else None,
+            [f(d) for d in self.dx],
+            f(self.lap) if self.lap is not None else None,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -208,6 +216,20 @@ class Var:
 
         return Var(self.value**p, (self,), backward)
 
+    def __getitem__(self, key):
+        """A view of part of the value, e.g. one component row ``v[j]``.
+
+        Basic indexing only (integers and slices), so no element is read
+        twice by one node.
+        """
+
+        def backward(g, a=self, k=key):
+            full = np.zeros(a.value.shape)
+            full[k] = g
+            _accumulate(a, full)
+
+        return Var(self.value[key], (self,), backward)
+
     def mean(self):
         n = self.value.size
 
@@ -250,47 +272,3 @@ def _topo_order(root):
             stack.pop()
     return order  # children strictly before their consumers
 
-
-# --------------------------------------------------------------------------
-# Public operations.
-
-
-def jet_eval(params, point, spec: JetSpec = FULL_JETS):
-    """Exact jets of the three output heads at one space-time point.
-
-    ``point`` is ``(t, x)`` with ``x`` an iterable of spatial coordinates, or
-    a bare float ``t`` for problems without space.  Returns a dict with keys
-    ``"y"``, ``"u"``, ``"lam"``.  A tape's second-order slot sums over its
-    axes, so at second order one single-axis tape runs per axis to give the
-    per-axis ``d2_dx2``.
-    """
-    from . import network  # runtime import: network builds on this module
-
-    if isinstance(point, tuple):
-        t, x = point
-    else:
-        t, x = point, None
-    sd = params.config.spatial_dim
-    t_arr = np.asarray([float(t)])
-    if sd == 0:
-        x_arr = np.zeros((1, 0))
-    else:
-        x_arr = np.asarray(x, dtype=float).reshape(1, sd)
-    per_axis = spec.space_order == 2 and sd > 0
-    tape_axes = [(i,) for i in range(sd)] if per_axis else [None]
-    tapes = [network.NetworkTape(params, t_arr, x_arr, replace(spec, axes=axes)) for axes in tape_axes]
-    jets = {}
-    for name in ("y", "u", "lam"):
-        bundles = [tape.head_bundle(name) for tape in tapes]
-        first = bundles[0]
-        value = first.val[:, 0].copy()
-        d_dt = first.dt[:, 0].copy() if first.dt is not None else None
-        d_dx = None
-        d2_dx2 = None
-        if spec.space_order >= 1:
-            columns = [d[:, 0] for b in bundles for d in b.dx]
-            d_dx = np.stack(columns, axis=1) if columns else np.zeros((value.size, 0))
-        if spec.space_order == 2:
-            d2_dx2 = np.stack([b.lap[:, 0] for b in bundles], axis=1) if per_axis else np.zeros((value.size, 0))
-        jets[name] = Jet(value=value, d_dt=d_dt, d_dx=d_dx, d2_dx2=d2_dx2)
-    return jets

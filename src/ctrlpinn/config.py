@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .loss import LossWeights
+from .problems import PROBLEMS, get_problem
 from .sampler import SampleSizes
 from .trainer import TrainSettings
 
@@ -62,7 +63,6 @@ SCHEMA = {
         "out": str,
         "eval_every": _nonnegative_int,
         "checkpoint_every": _nonnegative_int,
-        "early_stop_tol": float,
     },
     # Each key is accepted only if the chosen problem's constructor takes it.
     "problem": {
@@ -83,7 +83,7 @@ SCHEMA = {
 }
 
 # Optional keys that the echo leaves out while they hold their "off" value.
-_ECHO_UNLESS = {"early_stop_tol": None, "lr_half_life": 0}
+_ECHO_UNLESS = {"lr_half_life": 0}
 
 
 def _echo(value) -> str:
@@ -105,8 +105,6 @@ class RunConfig(TrainSettings):
     out: str | None = None
 
     def make_problem(self):
-        from .problems import get_problem
-
         return get_problem(self.problem, **self.options)
 
     def resolved_text(self) -> str:
@@ -166,8 +164,6 @@ def parse_config(path) -> RunConfig:
     if "problem" not in run:
         raise ConfigError(path, 0, "missing required key 'problem' in [run]")
     problem = run.pop("problem")
-    from .problems import PROBLEMS
-
     if problem not in PROBLEMS:
         raise ConfigError(
             path, lines[("run", "problem")], f"unknown problem {problem!r}; expected one of {sorted(PROBLEMS)}"

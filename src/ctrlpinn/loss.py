@@ -91,14 +91,14 @@ def assemble(problem, batch, weights, provider):
 
     t_int, x_int = batch.interior
     heads = provider(t_int, x_int, interior_spec)
-    u_vals = heads["u"].value
+    y, u, lam = heads["y"], heads["u"].val, heads["lam"]
     terms = {
-        "forward": _mean_sq(problem.forward_residual(heads["y"], u_vals)),
-        "adjoint": _mean_sq(problem.adjoint_residual(heads["lam"], heads["y"], u_vals, t=t_int, x=x_int)),
-        "optimality": _mean_sq(problem.optimality_residual(heads["lam"].value, heads["y"].value, u_vals)),
+        "forward": _mean_sq(problem.forward_residual(y, u)),
+        "adjoint": _mean_sq(problem.adjoint_residual(lam, y, u, t=t_int, x=x_int)),
+        "optimality": _mean_sq(problem.optimality_residual(lam.val, y.val, u)),
     }
 
-    outputs = {"interior": (heads["y"].value, heads["u"].value, heads["lam"].value)}
+    outputs = {"interior": (y.val, u, lam.val)}
     for name, (t_set, x_set) in (
         ("initial", batch.initial),
         ("terminal", batch.terminal),
@@ -106,7 +106,7 @@ def assemble(problem, batch, weights, provider):
     ):
         if t_set.size:
             h = provider(t_set, x_set, VALUES_ONLY)
-            outputs[name] = (h["y"].value, h["u"].value, h["lam"].value)
+            outputs[name] = (h["y"].val, h["u"].val, h["lam"].val)
         else:
             outputs[name] = ([], [], [])
 

@@ -8,18 +8,18 @@ creates the backpropagation paths every coupled derivative of the optimality
 system needs.  The same depths and widths are used for every benchmark.
 
 A training tape (:class:`NetworkTape`) carries each stage of the network as
-a bundle of per-component (width, n_points) arrays: the value, then the
-requested input partials d/dt and d/dx_i, then one second-order slot that
-holds the sum of the pure second partials over the carried axes (the
-Laplacian y_x1x1 + y_x2x2 in 2-D, y_xx in 1-D).  Each layer applies one
-matrix product per component, and ELU then overwrites the product in place,
-so the tape records no pre-activations: per hidden layer it keeps the output
-bundle (which is also the next layer's input) and three activation factors.
-The tape runs its points in column blocks of at most ``BLOCK_POINTS``, so
-that each component of a block stays in cache through a layer's elementwise
-rules; only the head outputs are joined back into whole-batch arrays.  Plain
-value passes (:func:`forward_values`) carry the value alone and stop after
-the last head their caller reads.
+a bundle, a :class:`~ctrlpinn.autodiff.Jets` of (width, n_points) arrays:
+the value, then the requested input partials d/dt and d/dx_i, then one
+second-order slot that holds the sum of the pure second partials over the
+carried axes (the Laplacian y_x1x1 + y_x2x2 in 2-D, y_xx in 1-D).  Each
+layer applies one matrix product per component, and ELU then overwrites the
+product in place, so the tape records no pre-activations: per hidden layer
+it keeps the output bundle (which is also the next layer's input) and three
+activation factors.  The tape runs its points in column blocks of at most
+``BLOCK_POINTS``, so that each component of a block stays in cache through
+a layer's elementwise rules; only the head outputs are joined back into
+whole-batch arrays.  Plain value passes (:func:`forward_values`) carry the
+value alone and stop after the last head their caller reads.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    EvaluationError,
-    HeadJets,
-    JetSpec,
-    Var,
-)
+from .autodiff import EvaluationError, Jets, JetSpec, Var
 
 HIDDEN_WIDTH = 100
 TRUNK_LAYERS = 5
@@ -164,11 +159,11 @@ def init_params(config: ArchitectureConfig, seed: int) -> ControlPinnParams:
 
 
 # --------------------------------------------------------------------------
-# Jet propagation.  A bundle carries one stage of the network for one column
-# block of points: the values plus whichever input partials the JetSpec
-# requested, each as its own (width, n_points) array.  The second-order slot
-# ``lap`` is the sum of the pure second partials over the carried axes, so
-# its rules are
+# Jet propagation.  A bundle, a ``Jets`` of arrays, carries one stage of the
+# network for one column block of points: the values plus whichever input
+# partials the JetSpec requested, each as its own (width, n_points) array.
+# The second-order slot ``lap`` is the sum of the pure second partials over
+# the carried axes, so its rules are
 #
 #   forward:  lap_out = d1 * lap_z + d2 * sum_i zx_i^2
 #   reverse:  the per-axis adjoint rules, summed over i,
@@ -195,23 +190,9 @@ BLOCK_POINTS = 256
 
 HEADS = ("y", "u", "lam")
 
-
-class _Bundle:
-    __slots__ = ("val", "dt", "dx", "lap")
-
-    def __init__(self, val, dt=None, dx=(), lap=None):
-        self.val = val
-        self.dt = dt
-        self.dx = list(dx)
-        self.lap = lap
-
-    def comps(self):
-        yield self.val
-        if self.dt is not None:
-            yield self.dt
-        yield from self.dx
-        if self.lap is not None:
-            yield self.lap
+# Overflow in a pass is expected once training diverges: the finiteness
+# checks turn it into an EvaluationError, so numpy need not warn as well.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _input_bundle(t, x, spec: JetSpec):
@@ -230,23 +211,18 @@ def _input_bundle(t, x, spec: JetSpec):
             dx.append(e)
     if spec.space_order == 2 and dx:
         lap = np.zeros((1 + sd, n))
-    return _Bundle(val, dt, dx, lap)
+    return Jets(val, dt, dx, lap)
 
 
-def _dense_fwd(dense: Dense, j: _Bundle, label: str) -> _Bundle:
-    val = dense.w @ j.val
-    val += dense.b[:, None]
-    if not np.isfinite(val).all():
+def _dense_fwd(dense: Dense, j: Jets, label: str) -> Jets:
+    z = j.map(lambda c: dense.w @ c)
+    z.val += dense.b[:, None]
+    if not np.isfinite(z.val).all():
         raise EvaluationError(f"non-finite activation in layer {label}", layer=label)
-    return _Bundle(
-        val,
-        dense.w @ j.dt if j.dt is not None else None,
-        [dense.w @ d for d in j.dx],
-        dense.w @ j.lap if j.lap is not None else None,
-    )
+    return z
 
 
-def _act_fwd(z: _Bundle):
+def _act_fwd(z: Jets):
     """Apply ELU to the pre-activation bundle ``z`` in place.
 
     ``z``'s arrays become the output bundle.  Returns ``(d1, m, w)``, what
@@ -282,21 +258,16 @@ def _act_fwd(z: _Bundle):
     return d1, m, w
 
 
-def _dense_bwd(dense: Dense, j_in: _Bundle, g_out: _Bundle, grads) -> _Bundle:
+def _dense_bwd(dense: Dense, j_in: Jets, g_out: Jets, grads) -> Jets:
     gw, gb = grads
     for g_c, a_c in zip(g_out.comps(), j_in.comps()):
         gw += g_c @ a_c.T
     gb += g_out.val.sum(axis=1)
     wt = dense.w.T
-    return _Bundle(
-        wt @ g_out.val,
-        wt @ g_out.dt if g_out.dt is not None else None,
-        [wt @ d for d in g_out.dx],
-        wt @ g_out.lap if g_out.lap is not None else None,
-    )
+    return g_out.map(lambda c: wt @ c)
 
 
-def _act_bwd(out: _Bundle, d1, m, w, g: _Bundle) -> _Bundle:
+def _act_bwd(out: Jets, d1, m, w, g: Jets) -> Jets:
     """Pull adjoints back through the activation's jet rules.
 
     ``out`` is the layer's output bundle and ``(d1, m, w)`` what
@@ -332,11 +303,11 @@ def _act_bwd(out: _Bundle, d1, m, w, g: _Bundle) -> _Bundle:
     return g
 
 
-def _merge(bundles, stack) -> _Bundle:
-    """Combine bundles componentwise: ``np.vstack`` stacks the inputs of a
-    branch that reads several stages, ``np.hstack`` joins column blocks."""
+def _merge(bundles, stack) -> Jets:
+    """Combine bundles slotwise: ``np.vstack`` stacks the inputs of a branch
+    that reads several stages, ``np.hstack`` joins column blocks."""
     first = bundles[0]
-    return _Bundle(
+    return Jets(
         stack([b.val for b in bundles]),
         stack([b.dt for b in bundles]) if first.dt is not None else None,
         [stack([b.dx[i] for b in bundles]) for i in range(len(first.dx))],
@@ -344,8 +315,8 @@ def _merge(bundles, stack) -> _Bundle:
     )
 
 
-def _bundle_iadd_rows(target: _Bundle, source: _Bundle, lo: int, hi: int):
-    """target += source[lo:hi] componentwise (in place)."""
+def _bundle_iadd_rows(target: Jets, source: Jets, lo: int, hi: int):
+    """target += source[lo:hi] slotwise (in place)."""
     for t_c, s_c in zip(target.comps(), source.comps()):
         t_c += s_c[lo:hi]
     return target
@@ -364,7 +335,7 @@ class _Block:
 
     __slots__ = ("records", "head_in", "heads")
 
-    def __init__(self, params: ControlPinnParams, inp: _Bundle):
+    def __init__(self, params: ControlPinnParams, inp: Jets):
         self.records = {}
 
         def run_branch(label, denses, bundle):
@@ -421,60 +392,48 @@ class NetworkTape:
     """One recorded jet forward pass over a batch of points.
 
     The points run in column blocks of at most ``BLOCK_POINTS``; each block
-    keeps its own records.  Head jets are exposed as tape leaves (`Var`
-    objects, one per output component and derivative slot) spanning the
-    whole batch; once a scalar loss built from them has run ``backward()``,
-    :meth:`parameter_gradient` folds the leaf adjoints back through every
-    block, in block order, into a flat gradient.  All reductions use a fixed
-    order, so results are bitwise reproducible.
+    keeps its own records.  :meth:`head` exposes each output head as
+    :class:`Jets` whose slots are single ``Var`` leaves of shape
+    (components, points) spanning the whole batch; once a scalar loss built
+    from them has run ``backward()``, :meth:`parameter_gradient` folds the
+    leaf adjoints back through every block, in block order, into a flat
+    gradient.  All reductions use a fixed order, so results are bitwise
+    reproducible.  Overflow is reported by the finiteness checks as an
+    :class:`EvaluationError`, not as a numpy warning.
     """
 
+    @_quiet_overflow
     def __init__(self, params: ControlPinnParams, t, x, spec: JetSpec):
         self.params = params
-        self.spec = spec
         t = np.asarray(t, dtype=float)
         sd = params.config.spatial_dim
         x = np.zeros((t.size, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(t.size, sd)
         self._bounds = [(lo, min(lo + BLOCK_POINTS, t.size)) for lo in range(0, max(t.size, 1), BLOCK_POINTS)]
         self._blocks = [_Block(params, _input_bundle(t[lo:hi], x[lo:hi], spec)) for lo, hi in self._bounds]
-        self._bundles = {}
+        self._heads = {}
         for name in HEADS:
             parts = [block.heads[name] for block in self._blocks]
-            self._bundles[name] = parts[0] if len(parts) == 1 else _merge(parts, np.hstack)
-        self._leaves = {name: self._make_leaves(b) for name, b in self._bundles.items()}
+            bundle = parts[0] if len(parts) == 1 else _merge(parts, np.hstack)
+            self._heads[name] = bundle.map(Var)
 
-    def _make_leaves(self, bundle: _Bundle) -> HeadJets:
-        rows = bundle.val.shape[0]
-        return HeadJets(
-            value=[Var(bundle.val[j]) for j in range(rows)],
-            d_dt=[Var(bundle.dt[j]) for j in range(rows)] if bundle.dt is not None else None,
-            d_dx=[[Var(d[j]) for d in bundle.dx] for j in range(rows)] if bundle.dx else None,
-            laplacian=[Var(bundle.lap[j]) for j in range(rows)] if bundle.lap is not None else None,
-        )
-
-    def head(self, name: str) -> HeadJets:
-        return self._leaves[name]
-
-    def head_bundle(self, name: str) -> _Bundle:
-        return self._bundles[name]
+    def head(self, name: str) -> Jets:
+        return self._heads[name]
 
     # -- reverse accumulation -------------------------------------------------
 
-    def _leaf_adjoints(self, name: str, lo: int, hi: int) -> _Bundle:
-        """Adjoints of head ``name``'s leaves over columns [lo, hi)."""
-        jets = self._leaves[name]
-        rows = len(jets.value)
+    def _leaf_adjoints(self, name: str, lo: int, hi: int) -> Jets:
+        """Adjoints of head ``name``'s leaves over columns [lo, hi).
 
-        def stack(vars_):
-            return np.vstack([v.grad[lo:hi] if v.grad is not None else np.zeros(hi - lo) for v in vars_])
+        Copies: the block's reverse pass consumes them in place, and a leaf's
+        ``grad`` may be an array that the ``Var`` tape also handed elsewhere.
+        """
 
-        n_dx = len(self._bundles[name].dx)
-        return _Bundle(
-            stack(jets.value),
-            stack(jets.d_dt) if jets.d_dt is not None else None,
-            [stack([jets.d_dx[j][i] for j in range(rows)]) for i in range(n_dx)],
-            stack(jets.laplacian) if jets.laplacian is not None else None,
-        )
+        def columns(leaf):
+            if leaf.grad is None:
+                return np.zeros((leaf.value.shape[0], hi - lo))
+            return leaf.grad[:, lo:hi].copy()
+
+        return self._heads[name].map(columns)
 
     def parameter_gradient(self) -> np.ndarray:
         params = self.params
@@ -507,6 +466,7 @@ def _act_values(z):
     return out
 
 
+@_quiet_overflow
 def forward_values(params: ControlPinnParams, t, x=None, through: str = "lam"):
     """Head values over a batch: arrays of shape (n_y, n), (n_u, n), (n_y, n).
 

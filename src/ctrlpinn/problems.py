@@ -6,12 +6,14 @@ adjoint of the spatial operator is written out analytically (the Laplacian is
 self-adjoint under homogeneous Dirichlet data) instead of being transposed
 numerically, so residuals stay pointwise and cheap.
 
-Residual methods are written against the jet-bundle indexing convention
-``jet.value[j]``, ``jet.d_dx[j][i]``, ``jet.laplacian[j]``: they work
-unchanged whether the entries are tape ``Var`` leaves (training), batched
-arrays (closed-form oracles), or scalars (single-point checks).  The spatial
-operators read only the Laplacian, which the training tape carries as one
-slot.
+Residual methods read head jets through the :class:`~ctrlpinn.autodiff.Jets`
+indexing convention: ``jet.val[j]``, ``jet.dt[j]`` and ``jet.lap[j]`` are
+component j of the value, its time partial and its Laplacian over the batch,
+and ``jet.dx[i][j]`` its partial along axis i.  They work unchanged whether a
+slot is a tape ``Var`` of shape (components, points) (training), a batched
+array (closed-form oracles), or a list of per-component values.  The
+spatial operators read only the Laplacian, which the training tape carries
+as one slot.
 
 Each problem also owns the outputs of a trained network:
 :meth:`ControlProblem.write_artifacts` writes the final-state fields and
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import svgplot, validators
+from . import svgplot, trainer, validators
 from .network import ArchitectureConfig
 
 MANIFOLD_TOL = 1e-12
@@ -107,8 +109,9 @@ class ControlProblem:
     def condition_residuals(self, batch, outputs):
         """Pointwise defects of every named condition.
 
-        ``outputs[name]`` holds ``(y, u, lam)`` per-component value lists at
-        the batch's ``initial`` / ``terminal`` / ``boundary`` point sets.
+        ``outputs[name]`` holds the head values ``(y, u, lam)``, indexed by
+        component like a ``Jets`` slot, at the batch's ``interior`` /
+        ``initial`` / ``terminal`` / ``boundary`` point sets.
         Returns a dict with keys ``initial``, ``terminal_adjoint``,
         ``boundary_state``, ``boundary_adjoint`` and ``data_tracking``.
         """
@@ -171,11 +174,8 @@ class ControlProblem:
         reshaped to (components, n, ...).  The heads after ``through`` are
         None; by default that is lam.
         """
-        # Imported here: trainer imports this module (through sampler).
-        from .trainer import forward_chunked
-
         t, x, shape = self.probe_points((n,) * (1 + self.domain.spatial_dim))
-        heads = forward_chunked(params, t, x, through=through)
+        heads = trainer.forward_chunked(params, t, x, through=through)
         return t, x, tuple(None if h is None else h.reshape(h.shape[0], *shape) for h in heads)
 
     def sampled_field(self, values):
@@ -237,10 +237,10 @@ class AnalyticalProblem(ControlProblem):
     # operators ---------------------------------------------------------------
 
     def forward_residual(self, y, u):
-        return [y.d_dt[0] - (0.5 * y.value[0] + u[0])]
+        return [y.dt[0] - (0.5 * y.val[0] + u[0])]
 
     def adjoint_residual(self, lam, y, u, t=None, x=None):
-        return [lam.d_dt[0] + 0.5 * lam.value[0] + 2.0 * y.value[0]]
+        return [lam.dt[0] + 0.5 * lam.val[0] + 2.0 * y.val[0]]
 
     def optimality_residual(self, lam, y, u):
         # Written with the sign of the benchmark statement, 0 = -lam - u;
@@ -375,12 +375,12 @@ class HeatProblem(ControlProblem):
     # operators ---------------------------------------------------------------
 
     def forward_residual(self, y, u):
-        return [y.d_dt[0] - (self.diffusivity * y.laplacian[0] + u[0])]
+        return [y.dt[0] - (self.diffusivity * y.lap[0] + u[0])]
 
     def adjoint_residual(self, lam, y, u, t=None, x=None):
         # The running cost is independent of y in the interior, so only the
         # (self-adjoint) diffusion term appears.
-        return [lam.d_dt[0] + self.diffusivity * lam.laplacian[0]]
+        return [lam.dt[0] + self.diffusivity * lam.lap[0]]
 
     def optimality_residual(self, lam, y, u):
         return [lam[0] + 2.0 * u[0]]
@@ -541,19 +541,19 @@ class PredatorPreyProblem(ControlProblem):
     def forward_residual(self, y, u):
         # u1 is fixed to zero, so only the prey equation carries the control.
         return [
-            y.d_dt[0] - (y.laplacian[0] - y.value[0]),
-            y.d_dt[1] - (y.laplacian[1] + u[0] + y.value[1]),
+            y.dt[0] - (y.lap[0] - y.val[0]),
+            y.dt[1] - (y.lap[1] + u[0] + y.val[1]),
         ]
 
     def adjoint_residual(self, lam, y, u, t=None, x=None):
-        r1 = lam.d_dt[0] + lam.laplacian[0] - lam.value[0]
+        r1 = lam.dt[0] + lam.lap[0] - lam.val[0]
         if self.track_y1:
-            r1 = r1 + 2.0 * (y.value[0] - self.y1_initial(x[:, 0], x[:, 1]))
+            r1 = r1 + 2.0 * (y.val[0] - self.y1_initial(x[:, 0], x[:, 1]))
         r2 = (
-            lam.d_dt[1]
-            + lam.laplacian[1]
-            + lam.value[1]
-            + 2.0 * (y.value[1] - self.y2_target(t, x[:, 0], x[:, 1]))
+            lam.dt[1]
+            + lam.lap[1]
+            + lam.val[1]
+            + 2.0 * (y.val[1] - self.y2_target(t, x[:, 0], x[:, 1]))
         )
         return [r1, r2]
 
@@ -629,8 +629,6 @@ class PredatorPreyProblem(ControlProblem):
         ))
 
     def write_artifacts(self, params, final_probe, out):
-        from .trainer import forward_chunked
-
         curve = final_probe.get("error_by_time")
         if curve:
             self._write_error_curve(curve, out / "error_vs_time.csv")
@@ -638,7 +636,7 @@ class PredatorPreyProblem(ControlProblem):
         g1, g2 = np.meshgrid(*(np.linspace(lo, hi, n) for lo, hi in self.domain.x_bounds), indexing="ij")
         pts = np.column_stack([g1.ravel(), g2.ravel()])
         tf = self.domain.tf
-        y, u, _ = forward_chunked(params, np.full(pts.shape[0], tf), pts, through="u")
+        y, u, _ = trainer.forward_chunked(params, np.full(pts.shape[0], tf), pts, through="u")
         y2 = y[1].reshape(n, n)
         target = self.y2_target(tf, g1, g2)
         err = np.abs(y2 - target)
@@ -661,9 +659,7 @@ class PredatorPreyProblem(ControlProblem):
         No classical solver covers this problem yet, so ``resolution`` is
         unused.
         """
-        from .trainer import evaluate_probe
-
-        probe = evaluate_probe(params, self, with_curve=True)
+        probe = trainer.evaluate_probe(params, self, with_curve=True)
         curve = probe["error_by_time"]
         self._write_error_curve(curve, out / "relative_error_table.csv")
         print(f"final-time y2 tracking error: {curve[-1][1]:.4f}")

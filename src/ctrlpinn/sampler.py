@@ -11,10 +11,12 @@ initial x, terminal x, boundary t, boundary faces, boundary x.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problems import Domain
+if TYPE_CHECKING:  # problems imports trainer, which imports this module
+    from .problems import Domain
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ from .sampler import SampleSizes, make_rng, sample
 
 METRIC_COLUMNS = ("epoch", *TERM_ORDER, "total", "err_y", "err_u", "err_lam")
 
+# A total loss above this ends the run as diverged.
+DIVERGENCE_LIMIT = 1e6
+
 
 class NonFiniteGradientError(RuntimeError):
     def __init__(self, index: int, value):
@@ -78,9 +81,6 @@ class TrainSettings:
     lr_half_life: int = 0  # epochs per halving of lr; 0 keeps lr constant
     eval_every: int = 50
     checkpoint_every: int = 0
-    probe_shape: tuple | None = None
-    early_stop_tol: float | None = None
-    divergence_limit: float = 1e6
 
     def __post_init__(self):
         if self.lr_half_life < 0:
@@ -261,7 +261,7 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
     checkpoints = []
     status = "completed"
     last_epoch = start_epoch + n_epochs
-    initial_probe = evaluate_probe(params, problem, settings.probe_shape) if start_epoch == 0 else None
+    initial_probe = evaluate_probe(params, problem) if start_epoch == 0 else None
 
     epoch = start_epoch
     for epoch in range(start_epoch + 1, last_epoch + 1):
@@ -273,7 +273,7 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
             epoch -= 1
             break
         row = {"epoch": epoch, **breakdown.as_dict()}
-        if not np.isfinite(breakdown.total) or breakdown.total > settings.divergence_limit:
+        if not np.isfinite(breakdown.total) or breakdown.total > DIVERGENCE_LIMIT:
             history.append(row)
             status = "diverged"
             break
@@ -288,7 +288,7 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
         params = ControlPinnParams.from_flat(config, flat)
         if settings.eval_every and (epoch % settings.eval_every == 0 or epoch == last_epoch):
             try:
-                probe = evaluate_probe(params, problem, settings.probe_shape)
+                probe = evaluate_probe(params, problem)
             except EvaluationError:
                 history.append(row)
                 status = "diverged"
@@ -301,8 +301,6 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
             path = out / f"checkpoint_{epoch:06d}.json"
             save_checkpoint(path, params, adam, rng, epoch)
             checkpoints.append(str(path))
-        if settings.early_stop_tol is not None and breakdown.total < settings.early_stop_tol:
-            break
 
     if out is not None:
         path = out / "checkpoint_final.json"
@@ -311,7 +309,7 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
         write_metrics(out / "metrics.csv", history)
 
     try:
-        final_probe = evaluate_probe(params, problem, settings.probe_shape, with_curve=True)
+        final_probe = evaluate_probe(params, problem, with_curve=True)
     except EvaluationError:  # the last update overflowed the network
         final_probe = None
         status = "diverged"

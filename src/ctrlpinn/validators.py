@@ -26,6 +26,16 @@ class StabilityError(ValueError):
         self.max_stable_dt = max_stable_dt
 
 
+def _write_grid_csv(path, t0, tf, x0, x1, values):
+    """Grid CSV: one header row with the grid spec, then nt rows of nx
+    comma-separated values (row-major over time)."""
+    nt, nx = values.shape
+    lines = [f"t0={float(t0)!r},tf={float(tf)!r},nt={nt},x0={float(x0)!r},x1={float(x1)!r},nx={nx}"]
+    for row in values:
+        lines.append(",".join(map(repr, row.tolist())))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 @dataclass
 class ControlField:
     """Control values sampled on a regular (t, x) grid, queried bilinearly.
@@ -75,15 +85,8 @@ class ControlField:
         v11 = self.values[it1, ix1]
         return (1 - ft) * ((1 - fx) * v00 + fx * v01) + ft * ((1 - fx) * v10 + fx * v11)
 
-    # CSV layout: one header row with the grid spec, then nt rows of nx
-    # comma-separated values (row-major over time).
-
     def to_csv(self, path):
-        nt, nx = self.values.shape
-        lines = [f"t0={self.t0!r},tf={self.tf!r},nt={nt},x0={self.x0!r},x1={self.x1!r},nx={nx}"]
-        for row in self.values:
-            lines.append(",".join(map(repr, row.tolist())))
-        Path(path).write_text("\n".join(lines) + "\n")
+        _write_grid_csv(path, self.t0, self.tf, self.x0, self.x1, self.values)
 
     @classmethod
     def from_csv(cls, path):
@@ -113,14 +116,7 @@ class DnsSolution:
         return self.y[idx]
 
     def to_csv(self, path):
-        nt, nx = self.y.shape
-        lines = [
-            f"t0={float(self.times[0])!r},tf={float(self.times[-1])!r},nt={nt},"
-            f"x0={float(self.x[0])!r},x1={float(self.x[-1])!r},nx={nx}"
-        ]
-        for row in self.y:
-            lines.append(",".join(map(repr, row.tolist())))
-        Path(path).write_text("\n".join(lines) + "\n")
+        _write_grid_csv(path, self.times[0], self.times[-1], self.x[0], self.x[-1], self.y)
 
 
 def integrate_ode(f, y0, control, t_span=(0.0, 1.0), steps: int = 1000):

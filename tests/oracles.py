@@ -9,17 +9,18 @@ pre-activations are recomputed from its raw weights, never through the
 package's own machinery, so tests that use them are genuine cross-checks.
 
 At the end: small helpers over the package's own network and loss
-(:func:`forward`, :func:`evaluate`, :func:`loss_gradient`) that only tests
-need.
+(:func:`jet_eval`, :func:`head_values`, :func:`forward`, :func:`evaluate`,
+:func:`loss_gradient`) that only tests need.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import sympy as sp
 
+from ctrlpinn.autodiff import Jets, JetSpec
 from ctrlpinn.loss import LossWeights, evaluate_with_graph
-from ctrlpinn.network import _Bundle, forward_values
+from ctrlpinn.network import NetworkTape, forward_values
 from ctrlpinn.validators import ControlField, DnsSolution, StabilityError
 
 _t, _x = sp.symbols("t x")
@@ -95,7 +96,7 @@ def act_fwd(z):
             sq += zx * zx
         lap = d1 * z.lap
         lap += sq * d2
-    out = _Bundle(val, d1 * z.dt if z.dt is not None else None, [d1 * d for d in z.dx], lap)
+    out = Jets(val, d1 * z.dt if z.dt is not None else None, [d1 * d for d in z.dx], lap)
     return out, d1, d2, sq
 
 
@@ -318,6 +319,61 @@ def ftcs_step_by_step(
 
 
 # Helpers over the package's own network and loss.
+
+
+@dataclass
+class PointJet:
+    """Value of one output head at a point together with its input partials.
+
+    ``d_dx`` and ``d2_dx2`` have exactly ``spatial_dim`` columns (zero columns
+    for pure ODE problems); unrequested slots are ``None``.
+    """
+
+    value: np.ndarray
+    d_dt: np.ndarray | None
+    d_dx: np.ndarray | None
+    d2_dx2: np.ndarray | None
+
+
+def head_values(tape, name):
+    """Head ``name`` of a ``NetworkTape`` as ``Jets`` of plain arrays."""
+    return tape.head(name).map(lambda leaf: leaf.value)
+
+
+def jet_eval(params, point, spec=JetSpec()):
+    """Exact jets of the three output heads at one space-time point.
+
+    ``point`` is ``(t, x)`` with ``x`` an iterable of spatial coordinates, or
+    a bare float ``t`` for problems without space.  Returns a dict of
+    :class:`PointJet` with keys ``"y"``, ``"u"``, ``"lam"``.  A tape's
+    second-order slot sums over its axes, so at second order one single-axis
+    tape runs per axis to give the per-axis ``d2_dx2``.
+    """
+    if isinstance(point, tuple):
+        t, x = point
+    else:
+        t, x = point, None
+    sd = params.config.spatial_dim
+    t_arr = np.asarray([float(t)])
+    x_arr = np.zeros((1, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(1, sd)
+    per_axis = spec.space_order == 2 and sd > 0
+    tape_axes = [(i,) for i in range(sd)] if per_axis else [None]
+    tapes = [NetworkTape(params, t_arr, x_arr, replace(spec, axes=axes)) for axes in tape_axes]
+    jets = {}
+    for name in ("y", "u", "lam"):
+        bundles = [head_values(tape, name) for tape in tapes]
+        first = bundles[0]
+        value = first.val[:, 0].copy()
+        d_dt = first.dt[:, 0].copy() if first.dt is not None else None
+        d_dx = None
+        d2_dx2 = None
+        if spec.space_order >= 1:
+            columns = [d[:, 0] for b in bundles for d in b.dx]
+            d_dx = np.stack(columns, axis=1) if columns else np.zeros((value.size, 0))
+        if spec.space_order == 2:
+            d2_dx2 = np.stack([b.lap[:, 0] for b in bundles], axis=1) if per_axis else np.zeros((value.size, 0))
+        jets[name] = PointJet(value=value, d_dt=d_dt, d_dx=d_dx, d2_dx2=d2_dx2)
+    return jets
 
 
 def forward(params, t, x=None):

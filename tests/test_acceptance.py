@@ -11,8 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctrlpinn import autodiff
-from ctrlpinn.autodiff import HeadJets
+from ctrlpinn.autodiff import Jets
 from ctrlpinn.config import parse_config
 from ctrlpinn.loss import loss_and_gradient
 from ctrlpinn.network import ControlPinnParams, init_params
@@ -82,13 +81,13 @@ def test_criterion_1_closed_form_oracle_suite():
     rng = np.random.default_rng(2024)
     t = rng.uniform(0.0, 1.0, 1000)
     begin = time.perf_counter()
-    y = HeadJets(value=[oracles.analytical_y(t)], d_dt=[oracles.analytical_y_dot(t)])
-    lam = HeadJets(value=[oracles.analytical_lam(t)], d_dt=[oracles.analytical_lam_dot(t)])
+    y = Jets(val=[oracles.analytical_y(t)], dt=[oracles.analytical_y_dot(t)])
+    lam = Jets(val=[oracles.analytical_lam(t)], dt=[oracles.analytical_lam_dot(t)])
     u = [oracles.analytical_u(t)]
     worst = max(
         np.max(np.abs(problem.forward_residual(y, u)[0])),
         np.max(np.abs(problem.adjoint_residual(lam, y, u)[0])),
-        np.max(np.abs(problem.optimality_residual([lam.value[0]], [y.value[0]], u)[0])),
+        np.max(np.abs(problem.optimality_residual([lam.val[0]], [y.val[0]], u)[0])),
         abs(float(oracles.analytical_y(0.0)) - 1.0),
         abs(float(oracles.analytical_lam(1.0))),
     )
@@ -108,7 +107,7 @@ def test_criterion_2_autodiff_oracle():
         # jets vs central differences at a fixed interior point
         point_t = 0.43
         point_x = np.full(sd, 0.37)
-        jets = autodiff.jet_eval(params, (point_t, point_x))
+        jets = oracles.jet_eval(params, (point_t, point_x))
         from oracles import forward
 
         def value(head, t, x):
@@ -192,10 +191,10 @@ def test_criterion_4_heat_reference_pair_diffusivity_fact():
     t = np.linspace(0.0, 1.0, 100)
     x = np.linspace(0.0, 1.0, 100)
     tt, xx = np.meshgrid(t, x, indexing="ij")
-    y = HeadJets(
-        value=[oracles.heat_y(tt, xx).ravel()],
-        d_dt=[oracles.heat_y_t(tt, xx).ravel()],
-        laplacian=[oracles.heat_y_xx(tt, xx).ravel()],
+    y = Jets(
+        val=[oracles.heat_y(tt, xx).ravel()],
+        dt=[oracles.heat_y_t(tt, xx).ravel()],
+        lap=[oracles.heat_y_xx(tt, xx).ravel()],
     )
     u = [oracles.heat_u(tt, xx).ravel()]
     unit = np.max(np.abs(HeatProblem(diffusivity=1.0).forward_residual(y, u)[0]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctrlpinn import autodiff
-from ctrlpinn.autodiff import Jet, JetSpec, Var
+from ctrlpinn.autodiff import Jets, JetSpec, Var
 from ctrlpinn.network import (
     BLOCK_POINTS,
     ArchitectureConfig,
@@ -12,7 +12,6 @@ from ctrlpinn.network import (
     _act_bwd,
     _act_fwd,
     _act_values,
-    _Bundle,
     _dense_fwd,
     _input_bundle,
     init_params,
@@ -20,7 +19,7 @@ from ctrlpinn.network import (
 
 import oracles
 from oracles import elu, elu_d1, elu_d2, forward, kink_free_derivative, kink_free_stencil, loss_gradient
-from oracles import rel_err, sign_pattern
+from oracles import head_values, rel_err, sign_pattern
 
 
 # -- ELU derivative family ----------------------------------------------------
@@ -33,7 +32,7 @@ def _tape_elu_factors(z):
     them as its value, its partial and its Laplacian slot."""
     z = np.array(z, dtype=float)
     row = z.reshape(1, -1)
-    bundle = _Bundle(row, dx=[np.ones_like(row)], lap=np.zeros_like(row))
+    bundle = Jets(row, dx=[np.ones_like(row)], lap=np.zeros_like(row))
     d1 = _act_fwd(bundle)[0]
     assert np.array_equal(d1.view(np.int64), bundle.dx[0].view(np.int64))
     return tuple(a.reshape(z.shape) for a in (bundle.val, d1, bundle.lap))
@@ -91,7 +90,7 @@ def test_jets_match_finite_differences():
     config = ArchitectureConfig(spatial_dim=1, n_y=1, n_u=1)
     params = init_params(config, seed=12)
     t0, x0 = 0.43, 0.57
-    jets = autodiff.jet_eval(params, (t0, [x0]))
+    jets = oracles.jet_eval(params, (t0, [x0]))
 
     def head_value(name, t, x):
         y, u, lam = forward(params, t, [x])
@@ -152,19 +151,19 @@ def test_polynomial_exactness_identity_build():
     for dense in params.trunk:
         w_chain = dense.w @ w_chain
     w_y = params.y_head.w @ w_chain
-    y = tape.head_bundle("y")
+    y = head_values(tape, "y")
     assert y.dt[0, 0] == pytest.approx(w_y[0, 0], rel=1e-12)
     assert y.dx[0][0, 0] == pytest.approx(w_y[0, 1], rel=1e-12)
     for name in ("y", "u", "lam"):
-        bundle = tape.head_bundle(name)
+        bundle = head_values(tape, name)
         assert np.all(bundle.lap == 0.0)
 
 
 def test_jet_determinism_bitwise():
     config = ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1)
     params = init_params(config, seed=9)
-    a = autodiff.jet_eval(params, (0.31, [0.2, 0.9]))
-    b = autodiff.jet_eval(params, (0.31, [0.2, 0.9]))
+    a = oracles.jet_eval(params, (0.31, [0.2, 0.9]))
+    b = oracles.jet_eval(params, (0.31, [0.2, 0.9]))
     for name in ("y", "u", "lam"):
         assert np.array_equal(a[name].value, b[name].value)
         assert np.array_equal(a[name].d_dt, b[name].d_dt)
@@ -175,7 +174,7 @@ def test_jet_determinism_bitwise():
 def test_jet_shapes_and_spatial_dim_zero():
     config = ArchitectureConfig(spatial_dim=0, n_y=1, n_u=1)
     params = init_params(config, seed=1)
-    jets = autodiff.jet_eval(params, 0.5)
+    jets = oracles.jet_eval(params, 0.5)
     assert jets["y"].d_dx.shape == (1, 0)
     assert jets["y"].d2_dx2.shape == (1, 0)
     assert jets["lam"].value.shape == (1,)
@@ -191,7 +190,7 @@ def test_nonfinite_activation_reports_layer():
     params = init_params(config, seed=0)
     params.trunk[2].w[0, 0] = np.inf
     with pytest.raises(autodiff.EvaluationError) as err:
-        autodiff.jet_eval(params, 0.5)
+        oracles.jet_eval(params, 0.5)
     assert err.value.layer == "trunk.2"
 
 
@@ -222,6 +221,22 @@ def test_var_numpy_left_operand():
     assert np.allclose(x.grad, [-1.0, -1.0])
 
 
+def test_var_getitem_scatters_each_read_into_the_leaf_gradient():
+    # one row read twice, another once, and a column slice: each read's
+    # adjoint lands in its own entries of a gradient of the leaf's shape
+    value = np.arange(12.0).reshape(3, 4)
+    v = Var(value)
+    assert np.shares_memory(v[1].value, value)
+    out = (v[0] * v[2] + 3.0 * v[0]).sum() + (v[:, 1:3] * v[:, 1:3]).sum()
+    out.backward()
+    expected = np.zeros((3, 4))
+    expected[0] += value[2] + 3.0
+    expected[2] += value[0]
+    expected[:, 1:3] += 2.0 * value[:, 1:3]
+    assert v.grad.shape == value.shape
+    assert np.array_equal(v.grad, expected)
+
+
 # -- parameter gradients -------------------------------------------------------
 
 
@@ -235,7 +250,7 @@ def test_gradient_of_uninvolved_parameters_is_zero():
     def evaluator(p):
         tape = NetworkTape(p, t, x, JetSpec())
         y = tape.head("y")
-        return (y.value[0] * y.value[0]).mean(), [tape]
+        return (y.val[0] * y.val[0]).mean(), [tape]
 
     _, grad = loss_gradient(params, evaluator)
     offset = 0
@@ -250,6 +265,27 @@ def test_gradient_of_uninvolved_parameters_is_zero():
     assert np.any(by_layer["trunk.0"] != 0.0)
 
 
+def test_head_leaves_sharing_one_adjoint_array_keep_their_gradient():
+    # Var addition hands one adjoint array to both operands; the tape's
+    # reverse pass, which works in place, must not let one head's adjoint
+    # leak into the other's
+    params = init_params(ArchitectureConfig(spatial_dim=1), seed=9)
+    t = np.linspace(0.1, 0.9, BLOCK_POINTS + 5)
+    x = np.linspace(0.2, 0.8, t.size)[:, None]
+
+    def shared(p):
+        tape = NetworkTape(p, t, x, JetSpec())
+        return (tape.head("y").val + tape.head("u").val + tape.head("lam").val).sum(), [tape]
+
+    def separate(p):
+        tape = NetworkTape(p, t, x, JetSpec())
+        return tape.head("y").val.sum() + tape.head("u").val.sum() + tape.head("lam").val.sum(), [tape]
+
+    _, grad_shared = loss_gradient(params, shared)
+    _, grad_separate = loss_gradient(params, separate)
+    assert np.array_equal(grad_shared, grad_separate)
+
+
 def test_second_order_composition_gradient_matches_fd():
     # parameter gradient of a (d2y/dx2)^2 penalty: the third-order mixed
     # composition the diffusion residual needs
@@ -260,7 +296,7 @@ def test_second_order_composition_gradient_matches_fd():
 
     def evaluator(p):
         tape = NetworkTape(p, t, x, JetSpec())
-        d2 = tape.head("y").laplacian[0]
+        d2 = tape.head("y").lap[0]
         return (d2 * d2).mean(), [tape]
 
     value, grad = loss_gradient(params, evaluator)
@@ -320,19 +356,11 @@ def test_in_place_elu_rules_match_out_of_place_rules_bitwise(spatial_dim, time, 
         return a
 
     def bundle():
-        return _Bundle(
+        return Jets(
             component(),
             component() if time else None,
             [component() for _ in range(spatial_dim)],
             component() if second else None,
-        )
-
-    def copy(b):
-        return _Bundle(
-            b.val.copy(),
-            b.dt.copy() if b.dt is not None else None,
-            [d.copy() for d in b.dx],
-            b.lap.copy() if b.lap is not None else None,
         )
 
     def assert_same_bits(got, ref):
@@ -344,13 +372,13 @@ def test_in_place_elu_rules_match_out_of_place_rules_bitwise(spatial_dim, time, 
     z.val *= 3.0
     z.val[:, :edges] = EDGE_PREACTIVATIONS
     ref_out, ref_d1, d2, sq = oracles.act_fwd(z)
-    out = copy(z)
+    out = z.map(np.copy)
     d1, m, w = _act_fwd(out)
     assert_same_bits(out, ref_out)
     assert np.array_equal(d1.view(np.int64), ref_d1.view(np.int64))
 
     g = bundle()
-    assert_same_bits(_act_bwd(out, d1, m, w, copy(g)), oracles.act_bwd(z, ref_d1, d2, sq, copy(g)))
+    assert_same_bits(_act_bwd(out, d1, m, w, g.map(np.copy)), oracles.act_bwd(z, ref_d1, d2, sq, g.map(np.copy)))
 
 
 def _batch_2d(n, seed):
@@ -363,9 +391,9 @@ def test_laplacian_slot_equals_sum_of_per_axis_second_derivatives():
     t, x = _batch_2d(6, 1)
     tape = NetworkTape(params, t, x, JetSpec())
     for k in range(t.size):
-        jets = autodiff.jet_eval(params, (t[k], x[k]))
+        jets = oracles.jet_eval(params, (t[k], x[k]))
         for name in ("y", "u", "lam"):
-            lap = tape.head_bundle(name).lap[:, k]
+            lap = head_values(tape, name).lap[:, k]
             per_axis = jets[name].d2_dx2.sum(axis=1)
             assert np.all(np.abs(lap - per_axis) <= 1e-12 * np.abs(per_axis))
 
@@ -376,16 +404,16 @@ def test_laplacian_slot_in_one_dimension_is_the_per_axis_second_derivative():
     params = init_params(ArchitectureConfig(spatial_dim=1), seed=14)
     for t, x in ((0.2, 0.35), (0.7, 0.9)):
         tape = NetworkTape(params, np.array([t]), np.array([[x]]), JetSpec())
-        jets = autodiff.jet_eval(params, (t, [x]))
+        jets = oracles.jet_eval(params, (t, [x]))
         for name in ("y", "u", "lam"):
-            assert np.array_equal(tape.head_bundle(name).lap[:, 0], jets[name].d2_dx2[:, 0])
+            assert np.array_equal(head_values(tape, name).lap[:, 0], jets[name].d2_dx2[:, 0])
 
 
 def test_jet_spec_axes_select_the_carried_partials():
     params = init_params(ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1), seed=15)
     t, x = _batch_2d(5, 2)
-    full = NetworkTape(params, t, x, JetSpec(space_order=1)).head_bundle("y")
-    second = NetworkTape(params, t, x, JetSpec(space_order=1, axes=(1,))).head_bundle("y")
+    full = head_values(NetworkTape(params, t, x, JetSpec(space_order=1)), "y")
+    second = head_values(NetworkTape(params, t, x, JetSpec(space_order=1, axes=(1,))), "y")
     assert len(second.dx) == 1
     assert np.array_equal(second.dx[0], full.dx[1])
     assert np.array_equal(second.val, full.val)
@@ -399,12 +427,9 @@ def _jet_loss(tape):
     # every jet slot of every head enters, so each block record is exercised
     total = None
     for name in ("y", "u", "lam"):
-        head = tape.head(name)
-        for j in range(len(head.value)):
-            terms = [head.value[j], head.d_dt[j], head.laplacian[j]] + head.d_dx[j]
-            for term in terms:
-                part = (term * term).sum()
-                total = part if total is None else total + part
+        for term in tape.head(name).comps():
+            part = (term * term).sum()
+            total = part if total is None else total + part
     return total
 
 
@@ -423,7 +448,7 @@ def test_column_blocks_match_one_tape_per_block():
         _jet_loss(part).backward()
         grad_blocks += part.parameter_gradient()
         for name in ("y", "u", "lam"):
-            a, b = whole.head_bundle(name), part.head_bundle(name)
+            a, b = head_values(whole, name), head_values(part, name)
             for c_whole, c_part in zip(a.comps(), b.comps()):
                 ref = c_part
                 assert np.all(np.abs(c_whole[:, lo:hi] - ref) <= 1e-13 * np.abs(ref).max())
@@ -439,7 +464,7 @@ def test_second_order_composition_gradient_matches_fd_in_two_dimensions():
 
     def evaluator(p):
         tape = NetworkTape(p, t, x, JetSpec())
-        lap = tape.head("y").laplacian
+        lap = tape.head("y").lap
         return (lap[0] * lap[0] + lap[1] * lap[1]).mean(), [tape]
 
     value, grad = loss_gradient(params, evaluator)

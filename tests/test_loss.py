@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctrlpinn import loss as L
-from ctrlpinn.autodiff import HeadJets
+from ctrlpinn.autodiff import Jets
 from ctrlpinn.loss import LossWeights, assemble, loss_and_gradient
 from ctrlpinn.network import ControlPinnParams, init_params
 from ctrlpinn.problems import get_problem
@@ -23,9 +23,9 @@ def _closed_form_provider(t, x, spec):
     lam = [oracles.analytical_lam(t)]
     dt = spec.time
     return {
-        "y": HeadJets(value=y, d_dt=[oracles.analytical_y_dot(t)] if dt else None),
-        "u": HeadJets(value=u, d_dt=[oracles.analytical_u_dot(t)] if dt else None),
-        "lam": HeadJets(value=lam, d_dt=[oracles.analytical_lam_dot(t)] if dt else None),
+        "y": Jets(np.array(y), np.array([oracles.analytical_y_dot(t)]) if dt else None),
+        "u": Jets(np.array(u), np.array([oracles.analytical_u_dot(t)]) if dt else None),
+        "lam": Jets(np.array(lam), np.array([oracles.analytical_lam_dot(t)]) if dt else None),
     }
 
 

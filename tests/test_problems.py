@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctrlpinn.autodiff import HeadJets
+from ctrlpinn.autodiff import Jets
 from ctrlpinn.problems import (
     AnalyticalProblem,
     Domain,
@@ -14,10 +14,13 @@ from ctrlpinn.sampler import CollocationBatch
 import oracles
 
 
-def _jet(values, d_dt=None, d_dx=None, laplacian=None):
-    """HeadJets over plain arrays (closed-form stand-in for the network)."""
-    return HeadJets(value=list(values), d_dt=list(d_dt) if d_dt is not None else None,
-                    d_dx=d_dx, laplacian=laplacian)
+def _jet(val, dt=None, lap=None):
+    """Jets over plain (components, points) arrays (closed-form stand-in for
+    the network)."""
+    def array(slot):
+        return None if slot is None else np.array(slot)
+
+    return Jets(array(val), array(dt), lap=array(lap))
 
 
 # -- analytical problem --------------------------------------------------------
@@ -43,7 +46,7 @@ def test_analytical_closed_forms_zero_all_residuals():
     u = [oracles.analytical_u(t)]
     assert np.max(np.abs(p.forward_residual(y, u)[0])) <= 1e-9
     assert np.max(np.abs(p.adjoint_residual(lam, y, u)[0])) <= 1e-10
-    assert np.max(np.abs(p.optimality_residual([lam.value[0]], [y.value[0]], u)[0])) <= 1e-12
+    assert np.max(np.abs(p.optimality_residual(lam.val, y.val, u)[0])) <= 1e-12
     # boundary-value checks of the optimality system
     assert abs(p.y_star(0.0) - 1.0) <= 1e-12
     assert abs(p.lam_star(1.0)) <= 1e-12
@@ -89,7 +92,7 @@ def test_heat_reference_pair_requires_unit_diffusivity():
     x = np.linspace(0.0, 1.0, 100)
     tt, xx = np.meshgrid(t, x, indexing="ij")
     y = _jet([oracles.heat_y(tt, xx).ravel()], [oracles.heat_y_t(tt, xx).ravel()],
-             laplacian=[oracles.heat_y_xx(tt, xx).ravel()])
+             lap=[oracles.heat_y_xx(tt, xx).ravel()])
     u = [oracles.heat_u(tt, xx).ravel()]
     r_unit = HeatProblem(diffusivity=1.0).forward_residual(y, u)[0]
     assert np.max(np.abs(r_unit)) <= 1e-8
@@ -106,7 +109,7 @@ def test_heat_forward_residual_zero_state():
     p = HeatProblem()
     n = 7
     zeros = np.zeros(n)
-    y = _jet([zeros], [zeros], laplacian=[zeros])
+    y = _jet([zeros], [zeros], lap=[zeros])
     assert np.all(p.forward_residual(y, [zeros])[0] == 0.0)
 
 
@@ -116,7 +119,7 @@ def test_heat_adjoint_residual_zero_for_zero_adjoint():
     p = HeatProblem()
     n = 9
     zeros = np.zeros(n)
-    lam = _jet([zeros], [zeros], laplacian=[zeros])
+    lam = _jet([zeros], [zeros], lap=[zeros])
     y = _jet([np.random.default_rng(0).standard_normal(n)])
     assert np.all(p.adjoint_residual(lam, y, [zeros])[0] == 0.0)
 
@@ -163,7 +166,7 @@ def test_prey_adjoint_zero_when_tracking_satisfied():
     t = rng.uniform(0, 1, n)
     x = rng.uniform(0, 1, (n, 2))
     zeros = np.zeros(n)
-    lam = _jet([zeros, zeros], [zeros, zeros], laplacian=[zeros, zeros])
+    lam = _jet([zeros, zeros], [zeros, zeros], lap=[zeros, zeros])
     target = p.y2_target(t, x[:, 0], x[:, 1])
     y = _jet([p.y1_initial(x[:, 0], x[:, 1]), target])
     r1, r2 = p.adjoint_residual(lam, y, [zeros], t=t, x=x)
