@@ -4,11 +4,12 @@ The commands are the same for every benchmark.  What a training run writes
 besides its metrics and checkpoints, and what ``validate`` checks, are
 methods of the run's problem class (see ``ctrlpinn.problems``).
 
-Exit codes: 0 success, 2 configuration error (in the config file, in a flag,
-or in a run's saved config), 3 training divergence (partial artifacts are
-written), 4 missing or unusable run artifacts (no checkpoint, an unreadable
-one, one whose architecture does not fit the run's problem, or one whose
-network overflows).
+Exit codes: 0 success, 2 configuration error (in the config file, in a flag
+such as an ``--out`` that cannot be made a directory, or in a run's saved
+config), 3 training divergence (partial artifacts are written), 4 missing or
+unusable run artifacts (no checkpoint, an unreadable one, one whose
+architecture does not fit the run's problem, one whose network overflows,
+or a ``metrics.csv`` that is empty or does not parse).
 ``CTRLPINN_THREADS`` caps BLAS threads (default 1; set before numpy is first
 imported, which is why the heavy imports below live inside functions).
 """
@@ -114,8 +115,12 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved.cfg").write_text(config.resolved_text())
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.resolved.cfg").write_text(config.resolved_text())
+    except OSError as exc:
+        print(f"error: --out {out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     def log(row):
         parts = [f"epoch {row['epoch']}", f"total {row['total']:.3e}"]
@@ -228,7 +233,11 @@ def cmd_plot(args) -> int:
         return EXIT_MISSING
     from .trainer import read_metrics
 
-    rows = read_metrics(metrics)
+    try:
+        rows = read_metrics(metrics)
+    except (OSError, ValueError) as exc:
+        print(f"error: {metrics} is not a readable metrics file: {exc}", file=sys.stderr)
+        return EXIT_MISSING
     if not rows:
         print("error: metrics.csv has no data rows", file=sys.stderr)
         return EXIT_MISSING

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, make_dataclass
 import numpy as np
 
 from .autodiff import JetSpec, Var, VALUES_ONLY, EvaluationError
-from .network import NetworkTape
+from .network import HEADS, NetworkTape, Workspace
 
 
 @dataclass(frozen=True)
@@ -67,24 +67,32 @@ def _term_value(term):
 
 
 class _TapeProvider:
-    """Default head provider: evaluates the network, keeping the tapes."""
+    """Default head provider: evaluates the network, keeping the tapes.
 
-    def __init__(self, params):
+    The tapes borrow their arrays from ``workspace`` (see
+    ``network.Workspace``); with None each tape makes its own."""
+
+    def __init__(self, params, workspace):
         self.params = params
+        self.workspace = workspace
         self.tapes = []
 
-    def __call__(self, t, x, spec):
-        tape = NetworkTape(self.params, t, x, spec)
+    def __call__(self, t, x, spec, through="lam"):
+        tape = NetworkTape(self.params, t, x, spec, through=through, workspace=self.workspace)
         self.tapes.append(tape)
-        return {name: tape.head(name) for name in ("y", "u", "lam")}
+        return {name: tape.head(name) for name in HEADS}
 
 
 def assemble(problem, batch, weights, provider):
-    """Build all loss terms through ``provider(t, x, spec) -> head jets``.
+    """Build all loss terms through ``provider(t, x, spec, through) -> head
+    jets``.
 
-    The provider abstraction lets closed-form oracles stand in for the
-    network in tests; with arrays instead of tape leaves the same code path
-    produces plain floats.
+    ``through`` names the last head the caller reads, as in
+    ``network.forward_values``; the provider may return None for the heads
+    after it.  The initial conditions read only y, so the initial set is
+    evaluated ``through="y"``.  The provider abstraction lets closed-form
+    oracles stand in for the network in tests; with arrays instead of tape
+    leaves the same code path produces plain floats.
     """
     sd = problem.domain.spatial_dim
     interior_spec = JetSpec(time=True, space_order=2 if sd else 0)
@@ -99,14 +107,14 @@ def assemble(problem, batch, weights, provider):
     }
 
     outputs = {"interior": (y.val, u, lam.val)}
-    for name, (t_set, x_set) in (
-        ("initial", batch.initial),
-        ("terminal", batch.terminal),
-        ("boundary", batch.boundary),
+    for name, (t_set, x_set), through in (
+        ("initial", batch.initial, "y"),
+        ("terminal", batch.terminal, "lam"),
+        ("boundary", batch.boundary, "lam"),
     ):
         if t_set.size:
-            h = provider(t_set, x_set, VALUES_ONLY)
-            outputs[name] = (h["y"].val, h["u"].val, h["lam"].val)
+            h = provider(t_set, x_set, VALUES_ONLY, through=through)
+            outputs[name] = tuple(None if h[head] is None else h[head].val for head in HEADS)
         else:
             outputs[name] = ([], [], [])
 
@@ -143,18 +151,29 @@ def _weighted_total(terms, weights):
     return total, LossBreakdown(**values)
 
 
-def evaluate_with_graph(params, problem, batch, weights: LossWeights = LossWeights()):
+def evaluate_with_graph(params, problem, batch, weights: LossWeights = LossWeights(), workspace=None):
     """Per-term weighted losses for one batch, plus the live total and the
-    tapes it was built from, for backprop."""
-    provider = _TapeProvider(params)
+    tapes it was built from, for backprop.  The tapes borrow their arrays
+    from ``workspace`` (each makes its own when it is None)."""
+    provider = _TapeProvider(params, workspace)
     terms = assemble(problem, batch, weights, provider)
     total, breakdown = _weighted_total(terms, weights)
     return breakdown, total, provider.tapes
 
 
-def loss_and_gradient(params, problem, batch, weights: LossWeights = LossWeights()):
-    """Weighted breakdown plus the flat parameter gradient of the total."""
-    breakdown, total, tapes = evaluate_with_graph(params, problem, batch, weights)
+def loss_and_gradient(params, problem, batch, weights: LossWeights = LossWeights(), workspace=None):
+    """Weighted breakdown plus the flat parameter gradient of the total.
+
+    The tapes borrow their arrays from ``workspace``, a
+    ``network.Workspace`` that a caller may keep across calls so that each
+    call reuses the last one's memory; without one a throwaway workspace
+    serves this call.  Each tape gives its arrays back once its gradient is
+    folded in.  Neither the breakdown nor the gradient shares memory with
+    the workspace.
+    """
+    if workspace is None:
+        workspace = Workspace()
+    breakdown, total, tapes = evaluate_with_graph(params, problem, batch, weights, workspace)
     if not np.isfinite(breakdown.total):
         raise EvaluationError(f"non-finite loss value {breakdown.total!r}")
     gradient = np.zeros(params.num_params)
@@ -162,4 +181,5 @@ def loss_and_gradient(params, problem, batch, weights: LossWeights = LossWeights
         total.backward()
         for tape in tapes:
             gradient += tape.parameter_gradient()
+            tape.release()
     return breakdown, gradient

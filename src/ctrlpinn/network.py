@@ -18,13 +18,26 @@ it keeps the output bundle (which is also the next layer's input) and three
 activation factors.  The tape runs its points in column blocks of at most
 ``BLOCK_POINTS``, so that each component of a block stays in cache through
 a layer's elementwise rules; only the head outputs are joined back into
-whole-batch arrays.  Plain value passes (:func:`forward_values`) carry the
-value alone and stop after the last head their caller reads.
+whole-batch arrays.  Like the plain value passes (:func:`forward_values`),
+which carry the value alone, a tape stops after the last head its caller
+reads (``through``).
+
+The tape's arrays come from a :class:`Workspace`, a pool of memory-mapped
+arrays keyed by shape.  A training run owns one for its whole loop and
+passes it to every step (``loss.loss_and_gradient(..., workspace)``), so
+each epoch reuses the previous epoch's pages instead of faulting in about
+80 MiB afresh.  Arrays go back to the pool as they die: temporaries at
+once, a layer's adjoints after its reverse step, a tape's records at
+:meth:`NetworkTape.release`, once its gradient is folded.  The run clears
+the pool before each probe and when its loop ends, which unmaps the pages,
+so nothing that runs afterwards stacks on top of them.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +186,8 @@ def init_params(config: ArchitectureConfig, seed: int) -> ControlPinnParams:
 # negative branch and 0 on the positive one, and the kink takes the
 # negative-branch limit 1, so jets are continuous from below.
 #
-# Each hidden layer's dense product makes a fresh pre-activation bundle, and
-# ELU overwrites it with the output bundle (in-place activation, as in
+# Each hidden layer's dense product is written into a pre-activation bundle,
+# and ELU overwrites it with the output bundle (in-place activation, as in
 # Rota Bulo et al., arXiv:1712.02616).  The reverse pass reads the output's
 # partials instead of the pre-activation's, so a layer's record holds its
 # input and output bundles, both shared with its neighbours, plus d1, the
@@ -182,6 +195,13 @@ def init_params(config: ArchitectureConfig, seed: int) -> ControlPinnParams:
 # stay separate: every product then runs at the BLAS shape
 # (width, width) x (width, block), and stacking them into one
 # (width, k * n_points) array measured slower for these widths.
+#
+# Every array whose shape grows with the points comes from a ``Workspace``
+# and goes back to it when it dies: temporaries at once, the adjoints of a
+# layer when the layer's reverse step is done, a tape's records when
+# ``NetworkTape.release`` is called.  The operations and their order are
+# those of freshly allocated arrays, so results do not depend on which
+# buffers a pass is given.
 
 # Columns per block.  A (100, 256) component is 200 KB, so the few arrays
 # that one elementwise rule touches stay in a 2 MiB L2; at (100, 1000) they
@@ -195,34 +215,77 @@ HEADS = ("y", "u", "lam")
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
-def _input_bundle(t, x, spec: JetSpec):
+class Workspace:
+    """A pool of arrays that jet tapes borrow and give back.
+
+    :meth:`take` returns a free array of the requested shape and dtype, with
+    arbitrary contents, or maps a new one; :meth:`give` returns arrays to the
+    pool.  Each array is its own anonymous memory map.  A run keeps one
+    workspace across epochs, so an epoch reuses the previous epoch's pages
+    instead of faulting fresh ones in; :meth:`clear` (or dropping the
+    workspace) unmaps every free array at once, so the memory goes back to
+    the operating system rather than staying in the heap.
+    """
+
+    def __init__(self):
+        self._free = {}
+
+    def take(self, shape, dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        free = self._free.get((shape, dtype))
+        if free:
+            return free.pop()
+        count = math.prod(shape)
+        buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+        return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
+
+    def give(self, *arrays):
+        """Return arrays taken from this workspace; None entries are skipped."""
+        for a in arrays:
+            if a is not None:
+                self._free.setdefault((a.shape, a.dtype), []).append(a)
+
+    def clear(self):
+        self._free.clear()
+
+
+def _input_bundle(t, x, spec: JetSpec, ws: Workspace):
     n = t.size
     sd = x.shape[1]
-    val = np.vstack([t[None, :], x.T]) if sd else t[None, :].copy()
-    dt = None
-    if spec.time:
-        dt = np.zeros((1 + sd, n))
-        dt[0] = 1.0
+
+    def partial(row):
+        """The inputs' partials along input ``row``: ones there, zeros elsewhere
+        (all zeros for row None, the inputs' second partials)."""
+        e = ws.take((1 + sd, n))
+        e.fill(0.0)
+        if row is not None:
+            e[row] = 1.0
+        return e
+
+    val = ws.take((1 + sd, n))
+    val[0] = t
+    val[1:] = x.T
+    dt = partial(0) if spec.time else None
     dx, lap = [], None
     if spec.space_order >= 1:
-        for i in spec.spatial_axes(sd):
-            e = np.zeros((1 + sd, n))
-            e[1 + i] = 1.0
-            dx.append(e)
+        dx = [partial(1 + i) for i in spec.spatial_axes(sd)]
     if spec.space_order == 2 and dx:
-        lap = np.zeros((1 + sd, n))
+        lap = partial(None)
     return Jets(val, dt, dx, lap)
 
 
-def _dense_fwd(dense: Dense, j: Jets, label: str) -> Jets:
-    z = j.map(lambda c: dense.w @ c)
+def _dense_fwd(dense: Dense, j: Jets, label: str, ws: Workspace) -> Jets:
+    z = j.map(lambda c: np.matmul(dense.w, c, out=ws.take((dense.w.shape[0], c.shape[1]))))
     z.val += dense.b[:, None]
-    if not np.isfinite(z.val).all():
+    finite = np.isfinite(z.val, out=ws.take(z.val.shape, bool))
+    ok = finite.all()
+    ws.give(finite)
+    if not ok:
         raise EvaluationError(f"non-finite activation in layer {label}", layer=label)
     return z
 
 
-def _act_fwd(z: Jets):
+def _act_fwd(z: Jets, ws: Workspace):
     """Apply ELU to the pre-activation bundle ``z`` in place.
 
     ``z``'s arrays become the output bundle.  Returns ``(d1, m, w)``, what
@@ -232,25 +295,29 @@ def _act_fwd(z: Jets):
     Everything read from ``z`` is taken before its array is overwritten.
     """
     zv = z.val
-    d1 = np.minimum(zv, 0.0)
+    shape = zv.shape
+    d1 = np.minimum(zv, 0.0, out=ws.take(shape))
     np.exp(d1, out=d1)
-    m = zv <= 0.0
+    m = np.less_equal(zv, 0.0, out=ws.take(shape, bool))
     # value = max(z, 0) + (e - 1): on each branch one term is exactly zero,
     # so this is the branch value bit for bit, signed zeros included.
-    em1 = d1 - 1.0
+    em1 = np.subtract(d1, 1.0, out=ws.take(shape))
     np.maximum(zv, 0.0, out=zv)
     zv += em1
+    ws.give(em1)
     w = None
     if z.lap is not None:
-        sq = z.dx[0] * z.dx[0]
+        sq = np.multiply(z.dx[0], z.dx[0], out=ws.take(shape))
+        tmp = ws.take(shape)
         for zx in z.dx[1:]:
-            sq += zx * zx
-        d2 = d1 * m
-        w = sq + z.lap
+            sq += np.multiply(zx, zx, out=tmp)
+        d2 = np.multiply(d1, m, out=tmp)
+        w = np.add(sq, z.lap, out=ws.take(shape))
         w *= d2
         z.lap *= d1
         sq *= d2
         z.lap += sq
+        ws.give(sq, tmp)
     if z.dt is not None:
         z.dt *= d1
     for zx in z.dx:
@@ -258,16 +325,22 @@ def _act_fwd(z: Jets):
     return d1, m, w
 
 
-def _dense_bwd(dense: Dense, j_in: Jets, g_out: Jets, grads) -> Jets:
+def _dense_bwd(dense: Dense, j_in: Jets, g_out: Jets, grads, ws: Workspace, with_input: bool = True):
+    """Add the layer's weight gradients to ``grads``; return the adjoints of
+    its input, or None when ``with_input`` is false (nothing reads them)."""
     gw, gb = grads
+    product = ws.take(gw.shape)
     for g_c, a_c in zip(g_out.comps(), j_in.comps()):
-        gw += g_c @ a_c.T
+        gw += np.matmul(g_c, a_c.T, out=product)
+    ws.give(product)
     gb += g_out.val.sum(axis=1)
+    if not with_input:
+        return None
     wt = dense.w.T
-    return g_out.map(lambda c: wt @ c)
+    return g_out.map(lambda c: np.matmul(wt, c, out=ws.take((wt.shape[0], c.shape[1]))))
 
 
-def _act_bwd(out: Jets, d1, m, w, g: Jets) -> Jets:
+def _act_bwd(out: Jets, d1, m, w, g: Jets, ws: Workspace) -> Jets:
     """Pull adjoints back through the activation's jet rules.
 
     ``out`` is the layer's output bundle and ``(d1, m, w)`` what
@@ -280,32 +353,36 @@ def _act_bwd(out: Jets, d1, m, w, g: Jets) -> Jets:
     second-order term.
     """
     gv = g.val
+    shape = gv.shape
+    tmp = ws.take(shape)
     gv *= d1
     if g.dt is not None:
-        tmp = m * out.dt
+        np.multiply(m, out.dt, out=tmp)
         tmp *= g.dt
         gv += tmp
         g.dt *= d1
     d2_zx = []
     for ox, gx in zip(out.dx, g.dx):
-        a = m * ox
-        gv += a * gx
+        a = np.multiply(m, ox, out=ws.take(shape))
+        gv += np.multiply(a, gx, out=tmp)
         gx *= d1
         d2_zx.append(a)
     if g.lap is not None:
         gl = g.lap
-        gv += w * gl
+        gv += np.multiply(w, gl, out=tmp)
         for a, gx in zip(d2_zx, g.dx):
             a *= gl
             a *= 2.0
             gx += a
         gl *= d1
+    ws.give(tmp, *d2_zx)
     return g
 
 
 def _merge(bundles, stack) -> Jets:
-    """Combine bundles slotwise: ``np.vstack`` stacks the inputs of a branch
-    that reads several stages, ``np.hstack`` joins column blocks."""
+    """Combine bundles slotwise with ``stack``, which joins a list of arrays
+    (row-wise for the input of a branch that reads several stages, column-wise
+    for the column blocks of a head)."""
     first = bundles[0]
     return Jets(
         stack([b.val for b in bundles]),
@@ -322,8 +399,20 @@ def _bundle_iadd_rows(target: Jets, source: Jets, lo: int, hi: int):
     return target
 
 
+def _stages(params: ControlPinnParams):
+    """(branch label, hidden layers, head name, head layer) in network order.
+
+    The branch of each stage after the first reads the heads before it and
+    the previous branch's last hidden layer, stacked in that row order."""
+    return (
+        ("trunk", params.trunk, "y", params.y_head),
+        ("control", params.control, "u", params.u_head),
+        ("adjoint", params.adjoint, "lam", params.lam_head),
+    )
+
+
 class _Block:
-    """The recorded jet pass of one column block.
+    """The recorded jet pass of one column block, up to head ``through``.
 
     ``records[branch]`` lists, per hidden layer, the tuple
     ``(input bundle, output bundle, d1, m, w)``: the bundles are shared, as
@@ -335,103 +424,145 @@ class _Block:
 
     __slots__ = ("records", "head_in", "heads")
 
-    def __init__(self, params: ControlPinnParams, inp: Jets):
+    def __init__(self, params: ControlPinnParams, inp: Jets, through: str, ws: Workspace):
         self.records = {}
-
-        def run_branch(label, denses, bundle):
+        self.head_in = {}
+        self.heads = {}
+        bundle = inp
+        for label, denses, name, head in _stages(params):
             records = []
             for i, dense in enumerate(denses):
-                out = _dense_fwd(dense, bundle, f"{label}.{i}")
-                d1, m, w = _act_fwd(out)  # out now holds the layer's output
+                out = _dense_fwd(dense, bundle, f"{label}.{i}", ws)
+                d1, m, w = _act_fwd(out, ws)  # out now holds the layer's output
                 records.append((bundle, out, d1, m, w))
                 bundle = out
             self.records[label] = records
-            return bundle
+            self.head_in[name] = bundle
+            self.heads[name] = _dense_fwd(head, bundle, f"{name}_head", ws)
+            if name == through:
+                break
+            bundle = _merge([*self.heads.values(), bundle], lambda parts: _stack_rows(parts, ws))
 
-        h_trunk = run_branch("trunk", params.trunk, inp)
-        y = _dense_fwd(params.y_head, h_trunk, "y_head")
-        h_control = run_branch("control", params.control, _merge([y, h_trunk], np.vstack))
-        u = _dense_fwd(params.u_head, h_control, "u_head")
-        h_adjoint = run_branch("adjoint", params.adjoint, _merge([y, u, h_control], np.vstack))
-        lam = _dense_fwd(params.lam_head, h_adjoint, "lam_head")
-        self.head_in = {"y": h_trunk, "u": h_control, "lam": h_adjoint}
-        self.heads = {"y": y, "u": u, "lam": lam}
-
-    def backward(self, params: ControlPinnParams, g_heads, grads):
+    def backward(self, params: ControlPinnParams, g_heads, grads, ws: Workspace):
         """Accumulate this block's weight gradients into ``grads``.
 
         ``g_heads[name]`` holds the adjoints of head ``name``'s bundle over
-        the block's columns; they are consumed in place.
+        the block's columns; they are consumed and given back to ``ws``.
+        The stages run last to first.  A head's adjoint gathers its rows of
+        every later branch's input adjoint, latest branch first; the
+        trunk's input adjoint is not formed.
         """
-        n_y, n_u = params.config.n_y, params.config.n_u
+        widths = (params.config.n_y, params.config.n_u, params.config.n_y)
 
-        def branch_bwd(label, denses, g_out):
+        def branch_bwd(label, denses, g_out, with_input):
             records = self.records[label]
             for i in range(len(denses) - 1, -1, -1):
                 j_in, out, d1, m, w = records[i]
-                g_z = _act_bwd(out, d1, m, w, g_out)
-                g_out = _dense_bwd(denses[i], j_in, g_z, grads[f"{label}.{i}"])
+                g_z = _act_bwd(out, d1, m, w, g_out, ws)
+                g_out = _dense_bwd(denses[i], j_in, g_z, grads[f"{label}.{i}"], ws, with_input or i > 0)
+                ws.give(*g_z.comps())
             return g_out
 
-        g_adj_hidden = _dense_bwd(params.lam_head, self.head_in["lam"], g_heads["lam"], grads["lam_head"])
-        g_adj_in = branch_bwd("adjoint", params.adjoint, g_adj_hidden)
+        g_later = []  # input adjoints of the branches after the current stage
+        stages = _stages(params)
+        for k in range(len(self.head_in) - 1, -1, -1):
+            label, denses, name, head = stages[k]
+            lo = sum(widths[:k])
+            g_head = g_heads[name]
+            for g_in in g_later:
+                _bundle_iadd_rows(g_head, g_in, lo, lo + widths[k])
+            g_hidden = _dense_bwd(head, self.head_in[name], g_head, grads[f"{name}_head"], ws)
+            ws.give(*g_head.comps())
+            if g_later:
+                lo += widths[k]
+                _bundle_iadd_rows(g_hidden, g_later[-1], lo, lo + HIDDEN_WIDTH)
+            g_in = branch_bwd(label, denses, g_hidden, with_input=k > 0)
+            if g_in is not None:
+                g_later.append(g_in)
+        for g_in in g_later:
+            ws.give(*g_in.comps())
 
-        g_u = _bundle_iadd_rows(g_heads["u"], g_adj_in, n_y, n_y + n_u)
-        g_ctl_hidden = _dense_bwd(params.u_head, self.head_in["u"], g_u, grads["u_head"])
-        g_ctl_hidden = _bundle_iadd_rows(g_ctl_hidden, g_adj_in, n_y + n_u, n_y + n_u + HIDDEN_WIDTH)
-        g_ctl_in = branch_bwd("control", params.control, g_ctl_hidden)
+    def release(self, ws: Workspace):
+        """Give the recorded bundles and factors back to ``ws``."""
+        for records in self.records.values():
+            ws.give(*records[0][0].comps())  # the branch's input
+            for _, out, d1, m, w in records:
+                ws.give(*out.comps(), d1, m, w)
+        self.records = None
 
-        g_y = _bundle_iadd_rows(g_heads["y"], g_adj_in, 0, n_y)
-        g_y = _bundle_iadd_rows(g_y, g_ctl_in, 0, n_y)
-        g_trunk_hidden = _dense_bwd(params.y_head, self.head_in["y"], g_y, grads["y_head"])
-        g_trunk_hidden = _bundle_iadd_rows(g_trunk_hidden, g_ctl_in, n_y, n_y + HIDDEN_WIDTH)
-        branch_bwd("trunk", params.trunk, g_trunk_hidden)
+
+def _stack_rows(parts, ws: Workspace):
+    """``np.vstack(parts)`` written into a workspace array."""
+    out = ws.take((sum(p.shape[0] for p in parts), parts[0].shape[1]))
+    return np.concatenate(parts, axis=0, out=out)
 
 
 class NetworkTape:
     """One recorded jet forward pass over a batch of points.
 
     The points run in column blocks of at most ``BLOCK_POINTS``; each block
-    keeps its own records.  :meth:`head` exposes each output head as
-    :class:`Jets` whose slots are single ``Var`` leaves of shape
-    (components, points) spanning the whole batch; once a scalar loss built
+    keeps its own records.  The branches run in head order y, u, lam and
+    stop after head ``through``, as in :func:`forward_values`.
+    :meth:`head` exposes each computed head as :class:`Jets` whose slots are
+    single ``Var`` leaves of shape (components, points) spanning the whole
+    batch (None for the heads after ``through``); once a scalar loss built
     from them has run ``backward()``, :meth:`parameter_gradient` folds the
     leaf adjoints back through every block, in block order, into a flat
     gradient.  All reductions use a fixed order, so results are bitwise
     reproducible.  Overflow is reported by the finiteness checks as an
     :class:`EvaluationError`, not as a numpy warning.
+
+    Every array that grows with the points is borrowed from ``workspace``
+    (a fresh :class:`Workspace` of the tape's own when none is given).  The
+    heads' block outputs go back once the leaves, which are copies, are
+    built; the adjoints of the reverse pass go back as the pass moves on;
+    the records go back at :meth:`release`, after which the tape is spent.
+    The leaves and the returned gradient never share memory with the
+    workspace.
     """
 
     @_quiet_overflow
-    def __init__(self, params: ControlPinnParams, t, x, spec: JetSpec):
+    def __init__(self, params: ControlPinnParams, t, x, spec: JetSpec, *, through: str = "lam", workspace=None):
+        if through not in HEADS:
+            raise ValueError(f"through must be one of {HEADS}, got {through!r}")
         self.params = params
+        self.workspace = ws = Workspace() if workspace is None else workspace
         t = np.asarray(t, dtype=float)
         sd = params.config.spatial_dim
         x = np.zeros((t.size, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(t.size, sd)
         self._bounds = [(lo, min(lo + BLOCK_POINTS, t.size)) for lo in range(0, max(t.size, 1), BLOCK_POINTS)]
-        self._blocks = [_Block(params, _input_bundle(t[lo:hi], x[lo:hi], spec)) for lo, hi in self._bounds]
+        self._blocks = [
+            _Block(params, _input_bundle(t[lo:hi], x[lo:hi], spec, ws), through, ws) for lo, hi in self._bounds
+        ]
         self._heads = {}
-        for name in HEADS:
+        for name in self._blocks[0].heads:
             parts = [block.heads[name] for block in self._blocks]
-            bundle = parts[0] if len(parts) == 1 else _merge(parts, np.hstack)
-            self._heads[name] = bundle.map(Var)
+            self._heads[name] = _merge(parts, np.hstack).map(Var)
+            for part in parts:
+                ws.give(*part.comps())
+        for block in self._blocks:
+            block.heads = None
 
-    def head(self, name: str) -> Jets:
-        return self._heads[name]
+    def head(self, name: str) -> Jets | None:
+        return self._heads.get(name)
 
     # -- reverse accumulation -------------------------------------------------
 
     def _leaf_adjoints(self, name: str, lo: int, hi: int) -> Jets:
         """Adjoints of head ``name``'s leaves over columns [lo, hi).
 
-        Copies: the block's reverse pass consumes them in place, and a leaf's
-        ``grad`` may be an array that the ``Var`` tape also handed elsewhere.
+        Copies into workspace arrays: the block's reverse pass consumes them
+        in place, and a leaf's ``grad`` may be an array that the ``Var`` tape
+        also handed elsewhere.
         """
 
         def columns(leaf):
+            out = self.workspace.take((leaf.value.shape[0], hi - lo))
             if leaf.grad is None:
-                return np.zeros((leaf.value.shape[0], hi - lo))
-            return leaf.grad[:, lo:hi].copy()
+                out.fill(0.0)
+            else:
+                np.copyto(out, leaf.grad[:, lo:hi])
+            return out
 
         return self._heads[name].map(columns)
 
@@ -439,13 +570,20 @@ class NetworkTape:
         params = self.params
         grads = {label: (np.zeros_like(d.w), np.zeros_like(d.b)) for label, d in params.layers()}
         for block, (lo, hi) in zip(self._blocks, self._bounds):
-            block.backward(params, {name: self._leaf_adjoints(name, lo, hi) for name in HEADS}, grads)
+            g_heads = {name: self._leaf_adjoints(name, lo, hi) for name in self._heads}
+            block.backward(params, g_heads, grads, self.workspace)
         flat = []
         for label, _ in params.layers():
             gw, gb = grads[label]
             flat.append(gw.ravel())
             flat.append(gb)
         return np.concatenate(flat)
+
+    def release(self):
+        """Give the records back to the workspace; the tape is spent."""
+        for block in self._blocks:
+            block.release(self.workspace)
+        self._blocks = None
 
 
 # --------------------------------------------------------------------------

@@ -111,7 +111,9 @@ class ControlProblem:
 
         ``outputs[name]`` holds the head values ``(y, u, lam)``, indexed by
         component like a ``Jets`` slot, at the batch's ``interior`` /
-        ``initial`` / ``terminal`` / ``boundary`` point sets.
+        ``initial`` / ``terminal`` / ``boundary`` point sets.  The initial
+        set carries y alone (its u and lam are None): no condition reads
+        them.
         Returns a dict with keys ``initial``, ``terminal_adjoint``,
         ``boundary_state``, ``boundary_adjoint`` and ``data_tracking``.
         """

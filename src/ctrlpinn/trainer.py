@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import EvaluationError
 from .loss import TERM_ORDER, LossWeights, loss_and_gradient
-from .network import ControlPinnParams, forward_values, init_params, load_params, save_params
+from .network import ControlPinnParams, Workspace, forward_values, init_params, load_params, save_params
 from .sampler import SampleSizes, make_rng, sample
 
 METRIC_COLUMNS = ("epoch", *TERM_ORDER, "total", "err_y", "err_u", "err_lam")
@@ -51,19 +51,32 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params_flat: np.ndarray, gradient: np.ndarray):
-    """One ADAM update; returns the advanced state and parameter vector."""
+    """One ADAM update; returns the advanced state and parameter vector.
+
+    Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
+    params - lr m_hat / sqrt(v_hat + eps) with one scratch vector besides
+    the three it returns; ``state`` is left unchanged.
+    """
     if gradient.shape != params_flat.shape:
         raise ValueError("gradient/parameter shape mismatch")
-    bad = ~np.isfinite(gradient)
-    if bad.any():
-        index = int(np.flatnonzero(bad)[0])
+    if not np.isfinite(gradient).all():
+        index = int(np.flatnonzero(~np.isfinite(gradient))[0])
         raise NonFiniteGradientError(index, gradient[index])
     k = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * gradient
-    v = state.beta2 * state.v + (1.0 - state.beta2) * gradient * gradient
-    m_hat = m / (1.0 - state.beta1**k)
-    v_hat = v / (1.0 - state.beta2**k)
-    updated = params_flat - state.lr * m_hat / np.sqrt(v_hat + state.eps)
+    scratch = np.multiply(gradient, 1.0 - state.beta1)
+    m = np.multiply(state.m, state.beta1)
+    m += scratch
+    v = np.multiply(state.v, state.beta2)
+    np.multiply(gradient, 1.0 - state.beta2, out=scratch)
+    scratch *= gradient
+    v += scratch
+    np.divide(v, 1.0 - state.beta2**k, out=scratch)  # v_hat
+    scratch += state.eps
+    np.sqrt(scratch, out=scratch)
+    updated = np.divide(m, 1.0 - state.beta1**k)  # m_hat
+    updated *= state.lr
+    updated /= scratch
+    np.subtract(params_flat, updated, out=updated)
     new_state = AdamState(m=m, v=v, step=k, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
     return new_state, updated
 
@@ -105,8 +118,11 @@ def forward_chunked(params, t, x, chunk: int = 2048, through: str = "lam"):
     """Head values over a large batch, in chunks of ``chunk`` points.
 
     (100, 2048) activations stay in cache: a third faster than 8192-point
-    chunks on a 1001 x 1001 grid, and each column's value does not depend
-    on the chunk size.  Heads after ``through`` are None (see forward_values).
+    chunks on a 1001 x 1001 grid.  A column's value may depend on the chunk
+    size in the last bits: OpenBLAS computes the tail columns of a product
+    with another kernel, so ``W @ A[:, :n]`` and ``(W @ A)[:, :n]`` can
+    differ (they do for n = 1, 3, 4 and 33).  Heads after ``through`` are
+    None (see forward_values).
     """
     parts = [forward_values(params, t[lo : lo + chunk], x[lo : lo + chunk], through=through)
              for lo in range(0, t.size, chunk)]
@@ -136,11 +152,20 @@ def write_metrics(path, rows):
 
 
 def read_metrics(path):
+    """Rows of a ``metrics.csv``; ValueError if it is empty, lacks a column
+    of ``METRIC_COLUMNS`` or holds a row that does not parse."""
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError("the file is empty")
     header = lines[0].split(",")
+    missing = [col for col in METRIC_COLUMNS if col not in header]
+    if missing:
+        raise ValueError(f"no column {missing[0]!r}")
     rows = []
     for line in lines[1:]:
         cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"a row has {len(cells)} cells, the header {len(header)}")
         row = {}
         for key, cell in zip(header, cells):
             if cell == "":
@@ -263,11 +288,15 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
     last_epoch = start_epoch + n_epochs
     initial_probe = evaluate_probe(params, problem) if start_epoch == 0 else None
 
+    # The tapes' arrays, reused from epoch to epoch.  It is cleared before
+    # every probe and after the loop, so that probes, checkpoints and
+    # whatever runs after training do not stack on top of it.
+    workspace = Workspace()
     epoch = start_epoch
     for epoch in range(start_epoch + 1, last_epoch + 1):
         batch = sample(problem.domain, settings.sizes, rng, epoch)
         try:
-            breakdown, gradient = loss_and_gradient(params, problem, batch, settings.weights)
+            breakdown, gradient = loss_and_gradient(params, problem, batch, settings.weights, workspace)
         except EvaluationError:
             status = "diverged"
             epoch -= 1
@@ -287,6 +316,7 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
             break
         params = ControlPinnParams.from_flat(config, flat)
         if settings.eval_every and (epoch % settings.eval_every == 0 or epoch == last_epoch):
+            workspace.clear()
             try:
                 probe = evaluate_probe(params, problem)
             except EvaluationError:
@@ -301,6 +331,7 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
             path = out / f"checkpoint_{epoch:06d}.json"
             save_checkpoint(path, params, adam, rng, epoch)
             checkpoints.append(str(path))
+    workspace.clear()
 
     if out is not None:
         path = out / "checkpoint_final.json"

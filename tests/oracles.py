@@ -399,3 +399,8 @@ def loss_gradient(params, evaluator):
     for tape in tapes:
         gradient += tape.parameter_gradient()
     return float(total.value), gradient
+
+
+def workspace_bytes(workspace):
+    """Bytes of the arrays free in a ``network.Workspace``."""
+    return sum(a.nbytes for free in workspace._free.values() for a in free)

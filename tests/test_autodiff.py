@@ -9,6 +9,7 @@ from ctrlpinn.network import (
     ControlPinnParams,
     Dense,
     NetworkTape,
+    Workspace,
     _act_bwd,
     _act_fwd,
     _act_values,
@@ -33,7 +34,7 @@ def _tape_elu_factors(z):
     z = np.array(z, dtype=float)
     row = z.reshape(1, -1)
     bundle = Jets(row, dx=[np.ones_like(row)], lap=np.zeros_like(row))
-    d1 = _act_fwd(bundle)[0]
+    d1 = _act_fwd(bundle, Workspace())[0]
     assert np.array_equal(d1.view(np.int64), bundle.dx[0].view(np.int64))
     return tuple(a.reshape(z.shape) for a in (bundle.val, d1, bundle.lap))
 
@@ -63,8 +64,9 @@ def test_affine_layer_jet():
     # y = 2 t + 3 x: slope jets, no curvature
     t = np.array([0.4])
     x = np.array([[0.7]])
-    inp = _input_bundle(t, x, JetSpec())
-    out = _dense_fwd(Dense(np.array([[2.0, 3.0]]), np.zeros(1)), inp, "test")
+    ws = Workspace()
+    inp = _input_bundle(t, x, JetSpec(), ws)
+    out = _dense_fwd(Dense(np.array([[2.0, 3.0]]), np.zeros(1)), inp, "test", ws)
     assert out.val[0, 0] == pytest.approx(2 * 0.4 + 3 * 0.7)
     assert out.dt[0, 0] == 2.0
     assert out.dx[0][0, 0] == 3.0
@@ -76,10 +78,11 @@ def test_single_elu_neuron_second_derivative():
     w, b = 1.7, -1.0 - 1.7 * 0.25
     t = np.array([0.0])
     x = np.array([[0.25]])
-    inp = _input_bundle(t, x, JetSpec())
-    z = _dense_fwd(Dense(np.array([[0.0, w]]), np.array([b])), inp, "test")
+    ws = Workspace()
+    inp = _input_bundle(t, x, JetSpec(), ws)
+    z = _dense_fwd(Dense(np.array([[0.0, w]]), np.array([b])), inp, "test", ws)
     assert z.val[0, 0] == pytest.approx(-1.0)
-    _act_fwd(z)  # z becomes the output bundle
+    _act_fwd(z, ws)  # z becomes the output bundle
     out = z
     assert out.lap[0, 0] == pytest.approx(w * w * np.exp(-1.0), rel=1e-12)
 
@@ -373,12 +376,12 @@ def test_in_place_elu_rules_match_out_of_place_rules_bitwise(spatial_dim, time, 
     z.val[:, :edges] = EDGE_PREACTIVATIONS
     ref_out, ref_d1, d2, sq = oracles.act_fwd(z)
     out = z.map(np.copy)
-    d1, m, w = _act_fwd(out)
+    d1, m, w = _act_fwd(out, Workspace())
     assert_same_bits(out, ref_out)
     assert np.array_equal(d1.view(np.int64), ref_d1.view(np.int64))
 
     g = bundle()
-    assert_same_bits(_act_bwd(out, d1, m, w, g.map(np.copy)), oracles.act_bwd(z, ref_d1, d2, sq, g.map(np.copy)))
+    assert_same_bits(_act_bwd(out, d1, m, w, g.map(np.copy), Workspace()), oracles.act_bwd(z, ref_d1, d2, sq, g.map(np.copy)))
 
 
 def _batch_2d(n, seed):
@@ -453,6 +456,34 @@ def test_column_blocks_match_one_tape_per_block():
                 ref = c_part
                 assert np.all(np.abs(c_whole[:, lo:hi] - ref) <= 1e-13 * np.abs(ref).max())
     assert np.max(np.abs(grad - grad_blocks)) <= 1e-13 * np.max(np.abs(grad_blocks))
+
+
+@pytest.mark.parametrize("through", ["y", "u"])
+def test_tape_through_keeps_the_heads_it_computes_and_their_gradient(through):
+    # the heads up to `through` and the gradient of a loss on them are those
+    # of the full tape; the later heads are None
+    params = init_params(ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1), seed=17)
+    t, x = _batch_2d(BLOCK_POINTS + 9, 4)
+    kept = ("y", "u", "lam")[: ("y", "u", "lam").index(through) + 1]
+
+    def loss(tape):
+        total = None
+        for name in kept:
+            for term in tape.head(name).comps():
+                part = (term * term).sum()
+                total = part if total is None else total + part
+        total.backward()
+        return tape.parameter_gradient()
+
+    full = NetworkTape(params, t, x, JetSpec())
+    part = NetworkTape(params, t, x, JetSpec(), through=through)
+    for name in kept:
+        for a, b in zip(head_values(part, name).comps(), head_values(full, name).comps()):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert all(part.head(name) is None for name in ("y", "u", "lam") if name not in kept)
+    assert np.array_equal(loss(part), loss(full))
+    with pytest.raises(ValueError):
+        NetworkTape(params, t, x, JetSpec(), through="adjoint")
 
 
 def test_second_order_composition_gradient_matches_fd_in_two_dimensions():

@@ -262,6 +262,33 @@ def test_plot_empty_metrics_fails(tmp_path, capsys):
     assert code == cli.EXIT_MISSING
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "epoch,data,forward,adjoint,optimality,initial,terminal_adjoint,boundary,total,err_y,err_u,err_lam\n"
+        "1,0.5,0.1,0.1,0.1,oops,0.1,0.1,1.0,,,\n",
+        "epoch,total\n1,1.0\n",
+        "epoch,data,forward,adjoint,optimality,initial,terminal_adjoint,boundary,total,err_y,err_u,err_lam\n"
+        "1,0.5,0.1\n",
+    ],
+    ids=["zero-bytes", "non-numeric-cell", "missing-column", "short-row"],
+)
+def test_plot_unreadable_metrics_exits_missing(tmp_path, capsys, text):
+    (tmp_path / "metrics.csv").write_text(text)
+    code = cli.main(["plot", str(tmp_path)])
+    assert code == cli.EXIT_MISSING
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_train_out_under_a_regular_file_exits_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main(["train", "--config", _cfg(tmp_path, TINY_ANALYTICAL), "--out", str(blocker / "run")])
+    assert code == cli.EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
+
+
 def test_export_fields(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", _cfg(tmp_path, TINY_HEAT), "--out", str(out)]) == 0

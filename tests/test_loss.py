@@ -16,8 +16,9 @@ def _batch(problem, sizes=SampleSizes(), seed=0, epoch=0):
     return sample(problem.domain, sizes, make_rng(seed), epoch)
 
 
-def _closed_form_provider(t, x, spec):
-    """Stand-in network returning the scalar problem's optimal triple."""
+def _closed_form_provider(t, x, spec, through="lam"):
+    """Stand-in network returning the scalar problem's optimal triple
+    (all three heads, whatever ``through`` asks for)."""
     y = [oracles.analytical_y(t)]
     u = [oracles.analytical_u(t)]
     lam = [oracles.analytical_lam(t)]

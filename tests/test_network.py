@@ -13,6 +13,7 @@ from ctrlpinn.network import (
     TRUNK_LAYERS,
     ArchitectureConfig,
     ControlPinnParams,
+    Workspace,
     forward_values,
     init_params,
     layer_dims,
@@ -21,7 +22,7 @@ from ctrlpinn.network import (
 )
 from ctrlpinn.sampler import make_rng, sample
 
-from oracles import forward
+from oracles import forward, workspace_bytes
 
 
 def test_init_is_deterministic_per_seed():
@@ -155,19 +156,68 @@ def test_config_validation():
         ArchitectureConfig(spatial_dim=1, n_y=0)
 
 
+def _shipped(config_name):
+    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / f"{config_name}.cfg")
+    problem = config.make_problem()
+    return config, problem, init_params(problem.arch_config(), seed=7)
+
+
 @pytest.mark.parametrize("config_name, bound_mib", [("predator_prey", 100.0), ("heat", 32.0)])
 def test_loss_and_gradient_peak_memory(config_name, bound_mib):
     # one training step of the shipped config's batch; recording each hidden
     # layer's pre-activation bundle next to its output peaked at 136.4 MiB
-    # (predator-prey) and 39.7 MiB (heat)
-    config = parse_config(Path(__file__).resolve().parent.parent / "configs" / f"{config_name}.cfg")
-    problem = config.make_problem()
-    params = init_params(problem.arch_config(), seed=7)
+    # (predator-prey) and 39.7 MiB (heat).  The tape's arrays are memory
+    # maps that tracemalloc does not see, so the workspace's bytes (every
+    # array the step mapped, all given back by its end) are added.
+    config, problem, params = _shipped(config_name)
     batch = sample(problem.domain, config.sizes, make_rng(11), 1)
+    workspace = Workspace()
     tracemalloc.start()
     try:
-        loss_and_gradient(params, problem, batch, config.weights)
+        loss_and_gradient(params, problem, batch, config.weights, workspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound_mib * 2**20
+    assert peak + workspace_bytes(workspace) <= bound_mib * 2**20
+
+
+def _bits(breakdown, gradient):
+    return np.array(list(breakdown.as_dict().values())).view(np.int64), gradient.view(np.int64)
+
+
+@pytest.mark.parametrize("config_name", ["analytical", "heat", "predator_prey"])
+def test_shared_workspace_matches_fresh_workspaces(config_name):
+    # three epochs' batches through one workspace equal three calls that each
+    # map fresh arrays, bit for bit, and a returned gradient is never
+    # overwritten by a later call
+    config, problem, params = _shipped(config_name)
+    rng = make_rng(3)
+    batches = [sample(problem.domain, config.sizes, rng, epoch) for epoch in (1, 2, 3)]
+    fresh = [_bits(*loss_and_gradient(params, problem, b, config.weights, Workspace())) for b in batches]
+    assert not np.array_equal(fresh[0][1], fresh[1][1])
+    workspace = Workspace()
+    shared = [loss_and_gradient(params, problem, batches[0], config.weights, workspace)]
+    first_gradient = shared[0][1].copy()
+    shared += [loss_and_gradient(params, problem, b, config.weights, workspace) for b in batches[1:]]
+    for (b_fresh, g_fresh), result in zip(fresh, shared):
+        b_shared, g_shared = _bits(*result)
+        assert np.array_equal(b_shared, b_fresh)
+        assert np.array_equal(g_shared, g_fresh)
+    assert np.array_equal(shared[0][1].view(np.int64), first_gradient.view(np.int64))
+
+
+def test_reused_workspace_allocates_little():
+    # once a workspace has served one predator-prey step, the next step maps
+    # no new tape arrays; without a workspace the step traces about 83 MiB
+    config, problem, params = _shipped("predator_prey")
+    rng = make_rng(5)
+    workspace = Workspace()
+    loss_and_gradient(params, problem, sample(problem.domain, config.sizes, rng, 1), config.weights, workspace)
+    batch = sample(problem.domain, config.sizes, rng, 2)
+    tracemalloc.start()
+    try:
+        loss_and_gradient(params, problem, batch, config.weights, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

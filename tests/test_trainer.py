@@ -56,6 +56,29 @@ def test_adam_constant_gradient_step_size_approaches_lr():
     assert abs(abs(theta[0] - previous[0]) - state.lr) < 1e-6
 
 
+def test_adam_step_equals_the_textbook_expressions_bitwise():
+    # five steps with gradients spanning 8 decades; the state passed in is
+    # left as it was
+    rng = np.random.default_rng(21)
+    n = 2000
+    state = AdamState.init(n, lr=2e-3)
+    theta = rng.standard_normal(n)
+    m, v, ref = np.zeros(n), np.zeros(n), theta.copy()
+    for k in range(1, 6):
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 2.0, n)
+        before = (state.m.copy(), state.v.copy(), theta.copy())
+        new_state, new_theta = adam_step(state, theta, g)
+        assert all(np.array_equal(a, b) for a, b in zip((state.m, state.v, theta), before))
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**k)
+        v_hat = v / (1.0 - state.beta2**k)
+        ref = ref - state.lr * m_hat / np.sqrt(v_hat + state.eps)
+        for got, want in ((new_state.m, m), (new_state.v, v), (new_theta, ref)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        state, theta = new_state, new_theta
+
+
 def test_adam_rejects_nonfinite_gradient_with_index():
     state = AdamState.init(4)
     gradient = np.array([0.0, 1.0, np.nan, 2.0])
