@@ -110,6 +110,19 @@ class Jets:
             f(self.lap) if self.lap is not None else None,
         )
 
+    @classmethod
+    def join(cls, bundles, stack):
+        """Combine bundles slotwise with ``stack``, which joins a list of
+        arrays (row-wise for the input of a branch that reads several stages,
+        column-wise for the column blocks of a head)."""
+        first = bundles[0]
+        return cls(
+            stack([b.val for b in bundles]),
+            stack([b.dt for b in bundles]) if first.dt is not None else None,
+            [stack([b.dx[i] for b in bundles]) for i in range(len(first.dx))],
+            stack([b.lap for b in bundles]) if first.lap is not None else None,
+        )
+
 
 # --------------------------------------------------------------------------
 # A minimal reverse-mode tape over numpy arrays, used to assemble residuals
@@ -230,13 +243,17 @@ class Var:
 
         return Var(self.value[key], (self,), backward)
 
-    def mean(self):
-        n = self.value.size
+    def mean(self, count=None):
+        """The mean of the value; with ``count``, its sum divided by
+        ``count``, the share of a larger set's mean that this slice of the
+        set holds.  The backward pass spreads ``g / count`` either way."""
+        n = self.value.size if count is None else count
 
         def backward(g, a=self, count=n):
             _accumulate(a, np.full(a.value.shape, float(g) / count))
 
-        return Var(self.value.mean(), (self,), backward)
+        value = self.value.mean() if count is None else self.value.sum() / count
+        return Var(value, (self,), backward)
 
     def sum(self):
         def backward(g, a=self):

@@ -9,7 +9,9 @@ such as an ``--out`` that cannot be made a directory, or in a run's saved
 config), 3 training divergence (partial artifacts are written), 4 missing or
 unusable run artifacts (no checkpoint, an unreadable one, one whose
 architecture does not fit the run's problem, one whose network overflows,
-or a ``metrics.csv`` that is empty or does not parse).
+a ``metrics.csv`` that is empty or does not parse, or outputs of
+``validate`` or ``export`` that cannot be written, such as a
+``validation`` that is a regular file).
 ``CTRLPINN_THREADS`` caps BLAS threads (default 1; set before numpy is first
 imported, which is why the heavy imports below live inside functions).
 """
@@ -208,15 +210,23 @@ def cmd_validate(args) -> int:
         return loaded
     run, problem, params = loaded
     out = run / "validation"
-    out.mkdir(exist_ok=True)
     from .autodiff import EvaluationError
 
     try:
+        out.mkdir(exist_ok=True)
         report = {"problem": problem.name, **problem.validate(params, out, args.resolution)}
+        (out / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
     except EvaluationError as exc:
         return _overflowed(run, exc)
-    (out / "report.json").write_text(json.dumps(report, indent=2, default=float) + "\n")
+    except OSError as exc:
+        return _unwritable(out, exc)
     return EXIT_OK
+
+
+def _unwritable(path, exc) -> int:
+    """Report an output that cannot be written (``exc`` names the file)."""
+    print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_MISSING
 
 
 def _overflowed(run, exc) -> int:
@@ -273,8 +283,11 @@ def cmd_export(args) -> int:
         _, _, (y, u, _) = problem.field_values(params, args.resolution)
     except EvaluationError as exc:
         return _overflowed(run, exc)
-    problem.sampled_field(u[0]).to_csv(run / "export_u.csv")
-    problem.sampled_field(y[0]).to_csv(run / "export_y.csv")
+    try:
+        problem.sampled_field(u[0]).to_csv(run / "export_u.csv")
+        problem.sampled_field(y[0]).to_csv(run / "export_y.csv")
+    except OSError as exc:
+        return _unwritable(run, exc)
     print(f"fields written to {run}")
     return EXIT_OK
 

@@ -23,18 +23,27 @@ which carry the value alone, a tape stops after the last head its caller
 reads (``through``).
 
 The tape's arrays come from a :class:`Workspace`, a pool of memory-mapped
-arrays keyed by shape.  A training run owns one for its whole loop and
-passes it to every step (``loss.loss_and_gradient(..., workspace)``), so
-each epoch reuses the previous epoch's pages instead of faulting in about
-80 MiB afresh.  Arrays go back to the pool as they die: temporaries at
-once, a layer's adjoints after its reverse step, a tape's records at
-:meth:`NetworkTape.release`, once its gradient is folded.  The run clears
-the pool before each probe and when its loop ends, which unmaps the pages,
-so nothing that runs afterwards stacks on top of them.
+buffers that serves each request from any free buffer large enough for it.
+A training run owns one for its whole loop and passes it to every step
+(``loss.loss_and_gradient(..., workspace)``), so each epoch reuses the
+previous epoch's pages instead of faulting them in afresh.  Arrays go back
+to the pool as they die: temporaries at once, a layer's adjoints after its
+reverse step, a tape's records at :meth:`NetworkTape.release`, once its
+gradient is folded.  Every loss term is a weighted mean of pointwise
+residuals, so the adjoints of a column block's heads depend on that block
+alone: a training step streams its interior set through one tape per
+block, in block order, and releases each before the next starts (see
+``ctrlpinn.loss``).  The pool then holds one block's records, the
+temporaries and the condition tapes' gradient rows, about 22 MiB for
+predator-prey whatever the batch size; the tail block and the smaller
+condition sets reuse the full block's buffers.
+The run clears the pool before each probe and when its loop ends, which
+unmaps the pages, so nothing that runs afterwards stacks on top of them.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import mmap
@@ -216,37 +225,74 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 class Workspace:
-    """A pool of arrays that jet tapes borrow and give back.
+    """A pool of buffers that jet tapes borrow arrays from and give back.
 
-    :meth:`take` returns a free array of the requested shape and dtype, with
-    arbitrary contents, or maps a new one; :meth:`give` returns arrays to the
-    pool.  Each array is its own anonymous memory map.  A run keeps one
+    Each buffer is its own anonymous memory map.  :meth:`take` returns a
+    C-contiguous array of the requested shape and dtype, with arbitrary
+    contents, over the first bytes of the smallest free buffer that holds
+    it, or maps a new buffer of exactly its size when none does; a buffer
+    serves any dtype, so a bool mask may sit in the pages of a float array.
+    :meth:`give` returns each array's whole buffer to the pool.  Serving by
+    size lets the tail column block of a batch and the smaller condition
+    sets reuse the pages of the full blocks before them.  A run keeps one
     workspace across epochs, so an epoch reuses the previous epoch's pages
     instead of faulting fresh ones in; :meth:`clear` (or dropping the
-    workspace) unmaps every free array at once, so the memory goes back to
+    workspace) unmaps every free buffer at once, so the memory goes back to
     the operating system rather than staying in the heap.
     """
 
     def __init__(self):
-        self._free = {}
+        self._free = {}  # buffer size in bytes -> arrays given back over such buffers
+        self._sizes = []  # the keys of _free, ascending
 
     def take(self, shape, dtype=float) -> np.ndarray:
         dtype = np.dtype(dtype)
-        free = self._free.get((shape, dtype))
-        if free:
-            return free.pop()
-        count = math.prod(shape)
-        buffer = mmap.mmap(-1, max(count * dtype.itemsize, 1))
-        return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
+        nbytes = max(math.prod(shape) * dtype.itemsize, 1)
+        sizes = self._sizes
+        i = bisect.bisect_left(sizes, nbytes)
+        if i == len(sizes):
+            return np.ndarray(shape, dtype, mmap.mmap(-1, nbytes))
+        free = self._free[sizes[i]]
+        a = free.pop()
+        if not free:
+            del self._free[sizes[i]]
+            del sizes[i]
+        if a.shape == shape and a.dtype == dtype:
+            return a
+        return np.ndarray(shape, dtype, a.base)
 
     def give(self, *arrays):
-        """Return arrays taken from this workspace; None entries are skipped."""
+        """Return arrays that :meth:`take` made; None entries are skipped."""
         for a in arrays:
             if a is not None:
-                self._free.setdefault((a.shape, a.dtype), []).append(a)
+                size = len(a.base)
+                free = self._free.get(size)
+                if free is None:
+                    free = self._free[size] = []
+                    bisect.insort(self._sizes, size)
+                free.append(a)
 
     def clear(self):
         self._free.clear()
+        self._sizes.clear()
+
+
+def column_blocks(n):
+    """``(lo, hi)`` bounds of the column blocks over ``n`` points, in order:
+    at most ``BLOCK_POINTS`` each, and one empty block when ``n`` is 0."""
+    return [(lo, min(lo + BLOCK_POINTS, n)) for lo in range(0, max(n, 1), BLOCK_POINTS)]
+
+
+def _layer_views(params: ControlPinnParams, flat):
+    """``(gw, gb)`` by layer label: views of the flat vector ``flat`` in
+    flat parameter order, shaped like each layer's weights and biases."""
+    views, offset = {}, 0
+    for label, dense in params.layers():
+        gw = flat[offset : offset + dense.w.size].reshape(dense.w.shape)
+        offset += dense.w.size
+        views[label] = (gw, flat[offset : offset + dense.b.size])
+        offset += dense.b.size
+    return views
 
 
 def _input_bundle(t, x, spec: JetSpec, ws: Workspace):
@@ -379,19 +425,6 @@ def _act_bwd(out: Jets, d1, m, w, g: Jets, ws: Workspace) -> Jets:
     return g
 
 
-def _merge(bundles, stack) -> Jets:
-    """Combine bundles slotwise with ``stack``, which joins a list of arrays
-    (row-wise for the input of a branch that reads several stages, column-wise
-    for the column blocks of a head)."""
-    first = bundles[0]
-    return Jets(
-        stack([b.val for b in bundles]),
-        stack([b.dt for b in bundles]) if first.dt is not None else None,
-        [stack([b.dx[i] for b in bundles]) for i in range(len(first.dx))],
-        stack([b.lap for b in bundles]) if first.lap is not None else None,
-    )
-
-
 def _bundle_iadd_rows(target: Jets, source: Jets, lo: int, hi: int):
     """target += source[lo:hi] slotwise (in place)."""
     for t_c, s_c in zip(target.comps(), source.comps()):
@@ -441,7 +474,7 @@ class _Block:
             self.heads[name] = _dense_fwd(head, bundle, f"{name}_head", ws)
             if name == through:
                 break
-            bundle = _merge([*self.heads.values(), bundle], lambda parts: _stack_rows(parts, ws))
+            bundle = Jets.join([*self.heads.values(), bundle], lambda parts: _stack_rows(parts, ws))
 
     def backward(self, params: ControlPinnParams, g_heads, grads, ws: Workspace):
         """Accumulate this block's weight gradients into ``grads``.
@@ -507,9 +540,12 @@ class NetworkTape:
     single ``Var`` leaves of shape (components, points) spanning the whole
     batch (None for the heads after ``through``); once a scalar loss built
     from them has run ``backward()``, :meth:`parameter_gradient` folds the
-    leaf adjoints back through every block, in block order, into a flat
-    gradient.  All reductions use a fixed order, so results are bitwise
-    reproducible.  Overflow is reported by the finiteness checks as an
+    leaf adjoints back through every block, in block order, into the
+    accumulator ``grads``, a flat vector in parameter order (fresh zeros
+    when it is None).  Several tapes may share one, as the column blocks of
+    a streamed training step do.  All
+    reductions use a fixed order, so results are bitwise reproducible.
+    Overflow is reported by the finiteness checks as an
     :class:`EvaluationError`, not as a numpy warning.
 
     Every array that grows with the points is borrowed from ``workspace``
@@ -517,27 +553,29 @@ class NetworkTape:
     heads' block outputs go back once the leaves, which are copies, are
     built; the adjoints of the reverse pass go back as the pass moves on;
     the records go back at :meth:`release`, after which the tape is spent.
-    The leaves and the returned gradient never share memory with the
-    workspace.
+    The leaves never share memory with the workspace.
     """
 
     @_quiet_overflow
-    def __init__(self, params: ControlPinnParams, t, x, spec: JetSpec, *, through: str = "lam", workspace=None):
+    def __init__(
+        self, params: ControlPinnParams, t, x, spec: JetSpec, *, through: str = "lam", workspace=None, grads=None
+    ):
         if through not in HEADS:
             raise ValueError(f"through must be one of {HEADS}, got {through!r}")
         self.params = params
         self.workspace = ws = Workspace() if workspace is None else workspace
+        self._grads = grads
         t = np.asarray(t, dtype=float)
         sd = params.config.spatial_dim
         x = np.zeros((t.size, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(t.size, sd)
-        self._bounds = [(lo, min(lo + BLOCK_POINTS, t.size)) for lo in range(0, max(t.size, 1), BLOCK_POINTS)]
+        self._bounds = column_blocks(t.size)
         self._blocks = [
             _Block(params, _input_bundle(t[lo:hi], x[lo:hi], spec, ws), through, ws) for lo, hi in self._bounds
         ]
         self._heads = {}
         for name in self._blocks[0].heads:
             parts = [block.heads[name] for block in self._blocks]
-            self._heads[name] = _merge(parts, np.hstack).map(Var)
+            self._heads[name] = Jets.join(parts, np.hstack).map(Var)
             for part in parts:
                 ws.give(*part.comps())
         for block in self._blocks:
@@ -567,17 +605,15 @@ class NetworkTape:
         return self._heads[name].map(columns)
 
     def parameter_gradient(self) -> np.ndarray:
+        """Add the weight gradient, block by block, into the tape's flat
+        accumulator and return it.  Call it once per tape."""
         params = self.params
-        grads = {label: (np.zeros_like(d.w), np.zeros_like(d.b)) for label, d in params.layers()}
+        flat = np.zeros(params.num_params) if self._grads is None else self._grads
+        grads = _layer_views(params, flat)
         for block, (lo, hi) in zip(self._blocks, self._bounds):
             g_heads = {name: self._leaf_adjoints(name, lo, hi) for name in self._heads}
             block.backward(params, g_heads, grads, self.workspace)
-        flat = []
-        for label, _ in params.layers():
-            gw, gb = grads[label]
-            flat.append(gw.ravel())
-            flat.append(gb)
-        return np.concatenate(flat)
+        return flat
 
     def release(self):
         """Give the records back to the workspace; the tape is spent."""

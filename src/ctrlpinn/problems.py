@@ -90,7 +90,15 @@ class ControlProblem:
         raise NotImplementedError
 
     def data_residuals(self, batch, outputs):
-        """Supervised-data defects (the tracking integrals of the objective)."""
+        """Supervised-data defects at the condition sets (the tracking
+        integrals of the objective), from ``outputs`` as
+        :meth:`condition_residuals` reads them."""
+        return []
+
+    def interior_data_residuals(self, y, t, x):
+        """Supervised-data defects over interior points, from the state
+        values ``y`` there (indexed by component).  Pointwise, so a column
+        block of the interior set yields the defects of its own points."""
         return []
 
     # Cost pieces used by the quadrature validators --------------------------
@@ -339,9 +347,9 @@ class HeatProblem(ControlProblem):
     pinned by tests, and the diffusivity is a constructor knob.
 
     ``interior_tracking`` adds supervision of y on y*(t, x) over the interior
-    as a penalty in :meth:`data_residuals`.  It sits outside the optimality
-    system: the objective's running cost stays u^2, so the penalty does not
-    enter :meth:`adjoint_residual`.
+    as a penalty in :meth:`interior_data_residuals`.  It sits outside the
+    optimality system: the objective's running cost stays u^2, so the
+    penalty does not enter :meth:`adjoint_residual`.
     """
 
     name = "heat"
@@ -402,17 +410,18 @@ class HeatProblem(ControlProblem):
         t_term, x_term = batch.terminal
         y_init = outputs["initial"][0]
         y_term = outputs["terminal"][0]
-        residuals = [
+        return [
             y_init[0] - self.y_star(self.domain.t0, x_init[:, 0]),
             y_term[0] - self.y_star(self.domain.tf, x_term[:, 0]),
         ]
-        if self.interior_tracking and "interior" in outputs:
-            # Reference-state supervision over the interior, the reading of
-            # the "training data" sum that reproduces the published heat
-            # validation numbers.
-            t_int, x_int = batch.interior
-            residuals.append(outputs["interior"][0][0] - self.y_star(t_int, x_int[:, 0]))
-        return residuals
+
+    def interior_data_residuals(self, y, t, x):
+        if not self.interior_tracking:
+            return []
+        # Reference-state supervision over the interior, the reading of the
+        # "training data" sum that reproduces the published heat validation
+        # numbers.
+        return [y[0] - self.y_star(t, x[:, 0])]
 
     def running_cost(self, t, x, y, u):
         return u[0] ** 2
@@ -576,11 +585,12 @@ class PredatorPreyProblem(ControlProblem):
         # domain (the constraint-block reading of the benchmark statement).
         t_term, x_term = batch.terminal
         y_term = outputs["terminal"][0]
-        residuals = [y_term[1] - self.y2_target(self.domain.tf, x_term[:, 0], x_term[:, 1])]
-        if self.target_supervision and "interior" in outputs:
-            t_int, x_int = batch.interior
-            residuals.append(outputs["interior"][0][1] - self.y2_target(t_int, x_int[:, 0], x_int[:, 1]))
-        return residuals
+        return [y_term[1] - self.y2_target(self.domain.tf, x_term[:, 0], x_term[:, 1])]
+
+    def interior_data_residuals(self, y, t, x):
+        if not self.target_supervision:
+            return []
+        return [y[1] - self.y2_target(t, x[:, 0], x[:, 1])]
 
     def terminal_adjoint_target(self, y_tf, x):
         n = x.shape[0]

@@ -10,7 +10,9 @@ package's own machinery, so tests that use them are genuine cross-checks.
 
 At the end: small helpers over the package's own network and loss
 (:func:`jet_eval`, :func:`head_values`, :func:`forward`, :func:`evaluate`,
-:func:`loss_gradient`) that only tests need.
+:func:`loss_gradient`) that only tests need, and the loss over the whole
+batch as one graph (:func:`whole_batch_loss_and_gradient`), the reference
+for the streamed training step.
 """
 
 from dataclasses import dataclass, replace
@@ -18,9 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import sympy as sp
 
-from ctrlpinn.autodiff import Jets, JetSpec
-from ctrlpinn.loss import LossWeights, evaluate_with_graph
-from ctrlpinn.network import NetworkTape, forward_values
+from ctrlpinn.autodiff import VALUES_ONLY, Jets, JetSpec, Var
+from ctrlpinn.loss import CONDITION_SETS, LossWeights, assemble, weighted_total
+from ctrlpinn.network import HEADS, NetworkTape, forward_values
 from ctrlpinn.validators import ControlField, DnsSolution, StabilityError
 
 _t, _x = sp.symbols("t x")
@@ -382,9 +384,46 @@ def forward(params, t, x=None):
     return y[:, 0], u[:, 0], lam[:, 0]
 
 
+def whole_batch_graph(params, problem, batch, weights=LossWeights()):
+    """``(total, breakdown, tapes)`` of the loss over the whole batch as one
+    live graph, with one tape per point set (the interior's spanning the
+    whole set): how a training step evaluated its loss before it streamed
+    the interior set in column blocks."""
+    tapes = []
+
+    def heads(t, x, spec, through="lam"):
+        tapes.append(NetworkTape(params, t, x, spec, through=through))
+        return [tapes[-1].head(name) for name in HEADS]
+
+    spec = JetSpec(time=True, space_order=2 if problem.domain.spatial_dim else 0)
+    interior = dict(zip(HEADS, heads(*batch.interior, spec)))
+    outputs = {}
+    for name, through in CONDITION_SETS:
+        t_set, x_set = getattr(batch, name)
+        if t_set.size:
+            outputs[name] = tuple(None if h is None else h.val for h in heads(t_set, x_set, VALUES_ONLY, through))
+        else:
+            outputs[name] = ([], [], [])
+    total, breakdown = weighted_total(assemble(problem, batch, interior, outputs), weights)
+    return total, breakdown, tapes
+
+
+def whole_batch_loss_and_gradient(params, problem, batch, weights=LossWeights()):
+    """The breakdown and flat gradient of :func:`whole_batch_graph`, the
+    tapes' gradients summed in set order (interior, initial, terminal,
+    boundary)."""
+    total, breakdown, tapes = whole_batch_graph(params, problem, batch, weights)
+    gradient = np.zeros(params.num_params)
+    if isinstance(total, Var):
+        total.backward()
+        for tape in tapes:
+            gradient += tape.parameter_gradient()
+    return breakdown, gradient
+
+
 def evaluate(params, problem, batch, weights=LossWeights()):
     """Per-term weighted losses for one batch."""
-    return evaluate_with_graph(params, problem, batch, weights)[0]
+    return whole_batch_graph(params, problem, batch, weights)[1]
 
 
 def loss_gradient(params, evaluator):
@@ -402,5 +441,5 @@ def loss_gradient(params, evaluator):
 
 
 def workspace_bytes(workspace):
-    """Bytes of the arrays free in a ``network.Workspace``."""
-    return sum(a.nbytes for free in workspace._free.values() for a in free)
+    """Bytes of the buffers free in a ``network.Workspace``."""
+    return sum(len(a.base) for free in workspace._free.values() for a in free)

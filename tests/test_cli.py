@@ -289,6 +289,20 @@ def test_train_out_under_a_regular_file_exits_config_error(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, blocked", [("validate", "validation"), ("export", "export_u.csv")])
+def test_unwritable_output_exits_missing(tmp_path, capsys, command, blocked):
+    # validate's output directory is a regular file; export's CSV a directory
+    out = _trained(tmp_path, TINY_HEAT, "run")
+    if command == "validate":
+        (out / blocked).write_text("")
+    else:
+        (out / blocked).mkdir()
+    capsys.readouterr()
+    assert cli.main([command, str(out), "--resolution", "21"]) == cli.EXIT_MISSING
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out / blocked) in err
+
+
 def test_export_fields(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", _cfg(tmp_path, TINY_HEAT), "--out", str(out)]) == 0

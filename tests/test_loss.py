@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ctrlpinn import loss as L
-from ctrlpinn.autodiff import Jets
-from ctrlpinn.loss import LossWeights, assemble, loss_and_gradient
-from ctrlpinn.network import ControlPinnParams, init_params
+from ctrlpinn.autodiff import VALUES_ONLY, Jets, JetSpec
+from ctrlpinn.loss import CONDITION_SETS, LossWeights, assemble, loss_and_gradient
+from ctrlpinn.network import HEADS, ControlPinnParams, init_params
 from ctrlpinn.problems import get_problem
 from ctrlpinn.sampler import SampleSizes, make_rng, sample
 
@@ -33,7 +33,12 @@ def _closed_form_provider(t, x, spec, through="lam"):
 def test_closed_form_oracle_zeroes_every_term():
     problem = get_problem("analytical")
     batch = _batch(problem, seed=42)
-    terms = assemble(problem, batch, LossWeights(), _closed_form_provider)
+    interior = _closed_form_provider(*batch.interior, JetSpec())
+    outputs = {}
+    for name, through in CONDITION_SETS:
+        heads = _closed_form_provider(*getattr(batch, name), VALUES_ONLY, through)
+        outputs[name] = tuple(heads[head].val for head in HEADS)
+    terms = assemble(problem, batch, interior, outputs)
     for name in ("forward", "adjoint", "optimality", "initial", "terminal_adjoint", "data"):
         assert terms[name] is not None
         assert float(terms[name]) <= 1e-9, name

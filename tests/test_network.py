@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from ctrlpinn.network import (
 )
 from ctrlpinn.sampler import make_rng, sample
 
-from oracles import forward, workspace_bytes
+from oracles import forward, whole_batch_loss_and_gradient, workspace_bytes
 
 
 def test_init_is_deterministic_per_seed():
@@ -162,13 +163,15 @@ def _shipped(config_name):
     return config, problem, init_params(problem.arch_config(), seed=7)
 
 
-@pytest.mark.parametrize("config_name, bound_mib", [("predator_prey", 100.0), ("heat", 32.0)])
+@pytest.mark.parametrize("config_name, bound_mib", [("predator_prey", 45.0), ("heat", 32.0)])
 def test_loss_and_gradient_peak_memory(config_name, bound_mib):
     # one training step of the shipped config's batch; recording each hidden
     # layer's pre-activation bundle next to its output peaked at 136.4 MiB
-    # (predator-prey) and 39.7 MiB (heat).  The tape's arrays are memory
-    # maps that tracemalloc does not see, so the workspace's bytes (every
-    # array the step mapped, all given back by its end) are added.
+    # (predator-prey) and 39.7 MiB (heat), and keeping every column block's
+    # records until the whole batch's loss had run backward at 82.8 MiB
+    # (predator-prey).  The tape's arrays are memory maps that tracemalloc
+    # does not see, so the workspace's bytes (every buffer the step mapped,
+    # all given back by its end) are added.
     config, problem, params = _shipped(config_name)
     batch = sample(problem.domain, config.sizes, make_rng(11), 1)
     workspace = Workspace()
@@ -221,3 +224,71 @@ def test_reused_workspace_allocates_little():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_workspace_serves_a_request_from_a_larger_free_buffer():
+    workspace = Workspace()
+    full = workspace.take((100, 256))
+    workspace.give(full)
+    mapped = workspace_bytes(workspace)
+    tail = workspace.take((100, 232))
+    assert np.shares_memory(tail, full) and tail.flags.c_contiguous
+    assert workspace_bytes(workspace) == 0  # nothing new was mapped
+    workspace.give(tail)  # the whole buffer goes back
+    assert workspace_bytes(workspace) == mapped
+    mask = workspace.take((100, 256), bool)  # a bool mask reuses float pages
+    assert np.shares_memory(mask, full)
+    small = workspace.take((2, 8))  # the only free buffer is in use: maps one
+    workspace.give(mask, small)
+    assert np.shares_memory(workspace.take((4,)), small)  # the smallest that fits
+    workspace.clear()
+    assert workspace_bytes(workspace) == 0
+
+
+@pytest.mark.parametrize("config_name", ["analytical", "heat", "predator_prey"])
+def test_results_do_not_depend_on_which_buffers_serve_the_tape(config_name):
+    # a workspace holding stale buffers of assorted sizes, filled with NaN
+    # and other garbage, gives the same step bit for bit as a fresh one
+    config, problem, params = _shipped(config_name)
+    batch = sample(problem.domain, config.sizes, make_rng(13), 1)
+    fresh = _bits(*loss_and_gradient(params, problem, batch, config.weights, Workspace()))
+    workspace = Workspace()
+    stale = [workspace.take(shape) for shape in [(100, 300), (103, 257), (7, 1000), (2, 10), (60_000,)] * 3]
+    for i, a in enumerate(stale):
+        a.fill([np.nan, np.inf, -1e300][i % 3])
+    workspace.give(*stale)
+    workspace.give(*[workspace.take((30, 40), bool) for _ in range(4)])
+    reused = _bits(*loss_and_gradient(params, problem, batch, config.weights, workspace))
+    assert np.array_equal(reused[0], fresh[0]) and np.array_equal(reused[1], fresh[1])
+
+
+@pytest.mark.parametrize("config_name", ["analytical", "heat", "predator_prey"])
+def test_streamed_step_equals_the_whole_batch_graph(config_name):
+    # the interior set streamed in column blocks gives the breakdown and the
+    # gradient of one graph over the whole batch, bit for bit; heat's shipped
+    # config tracks y over the interior, so its data term spans both pieces
+    config, problem, params = _shipped(config_name)
+    for n in (1, 255, 256, 257, config.sizes.interior):
+        batch = sample(problem.domain, replace(config.sizes, interior=n), make_rng(n), 1)
+        streamed = _bits(*loss_and_gradient(params, problem, batch, config.weights))
+        whole = _bits(*whole_batch_loss_and_gradient(params, problem, batch, config.weights))
+        assert np.array_equal(streamed[0], whole[0]), n
+        assert np.array_equal(streamed[1], whole[1]), n
+
+
+def test_step_workspace_does_not_grow_with_the_interior_batch():
+    # the tape holds one column block's records at a time: a predator-prey
+    # step maps as much at 4000 interior points as at 1000 (when every
+    # block's records lived until the whole loss ran backward: 79.6 and
+    # 266.0 MiB), and a second step maps nothing new
+    config, problem, params = _shipped("predator_prey")
+    mapped = []
+    for n in (config.sizes.interior, 4000):
+        workspace = Workspace()
+        rng = make_rng(17)
+        for epoch in (1, 2):
+            batch = sample(problem.domain, replace(config.sizes, interior=n), rng, epoch)
+            loss_and_gradient(params, problem, batch, config.weights, workspace)
+            mapped.append(workspace_bytes(workspace))
+    assert len(set(mapped)) == 1
+    assert mapped[0] <= 30 * 2**20
