@@ -5,8 +5,8 @@ besides its metrics and checkpoints, and what ``validate`` checks, are
 methods of the run's problem class (see ``ctrlpinn.problems``).
 
 Exit codes: 0 success, 2 configuration error (in the config file, in a flag
-such as an ``--out`` that cannot be made a directory, or in a run's saved
-config), 3 training divergence (partial artifacts are written), 4 missing or
+such as an ``--out`` that cannot be made a directory or ``--epochs`` given
+with ``--long``, or in a run's saved config), 3 training divergence (partial artifacts are written), 4 missing or
 unusable run artifacts (no checkpoint, an unreadable one, one whose
 architecture does not fit the run's problem, one whose network overflows,
 a ``metrics.csv`` that is empty or does not parse, or outputs of
@@ -55,10 +55,11 @@ def _build_parser():
     p_train = sub.add_parser("train", help="train a model from a config file")
     p_train.add_argument("--config", required=True, help="path to the run config")
     p_train.add_argument("--seed", type=_at_least(0), help="override the config seed")
-    p_train.add_argument("--epochs", type=_at_least(0), help="override the epoch budget")
+    budget = p_train.add_mutually_exclusive_group()
+    budget.add_argument("--epochs", type=_at_least(0), help="override the epoch budget")
+    budget.add_argument("--long", action="store_true", help="use the config's long_epochs budget")
     p_train.add_argument("--out", help="override the output run directory")
     p_train.add_argument("--diffusivity", type=float, help="override the heat diffusivity")
-    p_train.add_argument("--long", action="store_true", help="use the config's long_epochs budget")
 
     p_val = sub.add_parser("validate", help="check a trained control with classical solvers")
     p_val.add_argument("run_dir", help="run directory produced by `train`")

@@ -2,7 +2,8 @@
 headers, ``#`` comments.
 
 The schema is closed: unknown sections or keys are rejected with the file
-line number, as are unparsable or out-of-range values.  The ``[problem]``
+line number, as are unparsable or out-of-range values and a key given twice
+in one section.  The ``[problem]``
 keys are keyword arguments of the chosen problem's constructor, so a key
 that only another problem takes is rejected as well.  See README for the
 full key table.
@@ -153,6 +154,9 @@ def parse_config(path) -> RunConfig:
             value = value.strip()
             if key not in SCHEMA[section]:
                 raise ConfigError(path, lineno, f"unknown key {key!r} in [{section}]")
+            if (section, key) in lines:
+                first = lines[(section, key)]
+                raise ConfigError(path, lineno, f"key {key!r} in [{section}] is already set on line {first}")
             parser = SCHEMA[section][key]
             try:
                 raw[section][key] = parser(value)

@@ -6,6 +6,9 @@ an adjoint branch fed by (y, u) plus the control branch's last hidden layer
 produces lam.  Placing the u layers after the y layers (and lam after both)
 creates the backpropagation paths every coupled derivative of the optimality
 system needs.  The same depths and widths are used for every benchmark.
+That order is written once, in the stage table ``STAGES``: the layer shapes,
+the parameters' flat order, both passes of the jet tape and the value pass
+all run over it.
 
 A training tape (:class:`NetworkTape`) carries each stage of the network as
 a bundle, a :class:`~ctrlpinn.autodiff.Jets` of (width, n_points) arrays:
@@ -63,6 +66,13 @@ PARAMS_FORMAT = "ctrlpinn-params/2"
 READABLE_FORMATS = ("ctrlpinn-params/1", PARAMS_FORMAT)
 
 
+# The network in order: each stage is a branch of hidden layers (label, depth)
+# and the head after it.  The first branch reads (t, x); each later one reads
+# every head before it and the previous branch's last hidden layer, stacked.
+STAGES = (("trunk", TRUNK_LAYERS, "y"), ("control", CONTROL_LAYERS, "u"), ("adjoint", ADJOINT_LAYERS, "lam"))
+HEADS = tuple(name for _, _, name in STAGES)
+
+
 @dataclass(frozen=True)
 class ArchitectureConfig:
     """Per-problem output widths; depth and width never change."""
@@ -77,6 +87,11 @@ class ArchitectureConfig:
         if self.n_y < 1 or self.n_u < 1:
             raise ValueError("n_y and n_u must be >= 1")
 
+    @property
+    def head_widths(self):
+        """Output width of each head, in ``HEADS`` order: lam is as wide as y."""
+        return (self.n_y, self.n_u, self.n_y)
+
 
 @dataclass
 class Dense:
@@ -85,28 +100,40 @@ class Dense:
 
 
 def layer_dims(config: ArchitectureConfig):
-    """(label, n_out, n_in) for every layer in flat parameter order."""
+    """(label, n_out, n_in) for every layer in flat parameter order: each
+    stage's hidden layers ``<branch>.<i>``, then its head ``<head>_head``."""
     w = HIDDEN_WIDTH
-    dims = [("trunk.0", w, 1 + config.spatial_dim)]
-    dims += [(f"trunk.{i}", w, w) for i in range(1, TRUNK_LAYERS)]
-    dims += [("y_head", config.n_y, w)]
-    dims += [("control.0", w, config.n_y + w)]
-    dims += [(f"control.{i}", w, w) for i in range(1, CONTROL_LAYERS)]
-    dims += [("u_head", config.n_u, w)]
-    dims += [("adjoint.0", w, config.n_y + config.n_u + w)]
-    dims += [(f"adjoint.{i}", w, w) for i in range(1, ADJOINT_LAYERS)]
-    dims += [("lam_head", config.n_y, w)]
+    dims, n_in, stacked = [], 1 + config.spatial_dim, 0
+    for (label, depth, name), width in zip(STAGES, config.head_widths):
+        dims += [(f"{label}.{i}", w, w if i else n_in) for i in range(depth)]
+        dims += [(f"{name}_head", width, w)]
+        stacked += width
+        n_in = stacked + w
     return dims
+
+
+def _flat_views(config: ArchitectureConfig, flat):
+    """``{label: (w, b)}`` in flat parameter order: views of the flat vector
+    ``flat`` shaped like each layer's weights and biases."""
+    views, offset = {}, 0
+    for label, n_out, n_in in layer_dims(config):
+        w = flat[offset : offset + n_out * n_in].reshape(n_out, n_in)
+        offset += n_out * n_in
+        views[label] = (w, flat[offset : offset + n_out])
+        offset += n_out
+    if offset != flat.size:
+        raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
+    return views
 
 
 @dataclass
 class ControlPinnParams:
-    """All trainable weights.
+    """All trainable weights: per stage, a list of hidden layers under the
+    branch's label and a head layer under ``<head>_head``.
 
-    Flat order (used by the optimizer and by checkpoints): trunk hidden
-    layers, y head, control hidden layers, u head, adjoint hidden layers,
-    lam head; each layer contributes its weight matrix row-major, then its
-    bias vector.
+    Flat order (used by the optimizer and by checkpoints): the stages in
+    ``STAGES`` order, each its hidden layers and then its head; each layer
+    contributes its weight matrix row-major, then its bias vector.
     """
 
     config: ArchitectureConfig
@@ -117,16 +144,15 @@ class ControlPinnParams:
     adjoint: list
     lam_head: Dense
 
+    def stages(self):
+        """(branch label, hidden layers, head name, head layer) per stage."""
+        return [(label, getattr(self, label), name, getattr(self, f"{name}_head")) for label, _, name in STAGES]
+
     def layers(self):
-        for i, dense in enumerate(self.trunk):
-            yield f"trunk.{i}", dense
-        yield "y_head", self.y_head
-        for i, dense in enumerate(self.control):
-            yield f"control.{i}", dense
-        yield "u_head", self.u_head
-        for i, dense in enumerate(self.adjoint):
-            yield f"adjoint.{i}", dense
-        yield "lam_head", self.lam_head
+        for label, denses, name, head in self.stages():
+            for i, dense in enumerate(denses):
+                yield f"{label}.{i}", dense
+            yield f"{name}_head", head
 
     @property
     def num_params(self) -> int:
@@ -141,32 +167,13 @@ class ControlPinnParams:
 
     @classmethod
     def from_flat(cls, config: ArchitectureConfig, flat: np.ndarray) -> "ControlPinnParams":
-        flat = np.asarray(flat, dtype=float)
-        groups = {"trunk": [], "control": [], "adjoint": []}
-        heads = {}
-        offset = 0
-        for label, n_out, n_in in layer_dims(config):
-            w = flat[offset : offset + n_out * n_in].reshape(n_out, n_in)
-            offset += n_out * n_in
-            b = flat[offset : offset + n_out]
-            offset += n_out
-            dense = Dense(w.copy(), b.copy())
-            branch = label.split(".")[0]
-            if branch in groups:
-                groups[branch].append(dense)
-            else:
-                heads[label] = dense
-        if offset != flat.size:
-            raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
-        return cls(
-            config=config,
-            trunk=groups["trunk"],
-            y_head=heads["y_head"],
-            control=groups["control"],
-            u_head=heads["u_head"],
-            adjoint=groups["adjoint"],
-            lam_head=heads["lam_head"],
-        )
+        views = _flat_views(config, np.asarray(flat, dtype=float))
+        layers = {label: Dense(w.copy(), b.copy()) for label, (w, b) in views.items()}
+        attrs = {}
+        for label, depth, name in STAGES:
+            attrs[label] = [layers[f"{label}.{i}"] for i in range(depth)]
+            attrs[f"{name}_head"] = layers[f"{name}_head"]
+        return cls(config=config, **attrs)
 
 
 def init_params(config: ArchitectureConfig, seed: int) -> ControlPinnParams:
@@ -216,8 +223,6 @@ def init_params(config: ArchitectureConfig, seed: int) -> ControlPinnParams:
 # that one elementwise rule touches stay in a 2 MiB L2; at (100, 1000) they
 # spill.  Blocking moves only the order of the gradient's sums over points.
 BLOCK_POINTS = 256
-
-HEADS = ("y", "u", "lam")
 
 # Overflow in a pass is expected once training diverges: the finiteness
 # checks turn it into an EvaluationError, so numpy need not warn as well.
@@ -281,18 +286,6 @@ def column_blocks(n):
     """``(lo, hi)`` bounds of the column blocks over ``n`` points, in order:
     at most ``BLOCK_POINTS`` each, and one empty block when ``n`` is 0."""
     return [(lo, min(lo + BLOCK_POINTS, n)) for lo in range(0, max(n, 1), BLOCK_POINTS)]
-
-
-def _layer_views(params: ControlPinnParams, flat):
-    """``(gw, gb)`` by layer label: views of the flat vector ``flat`` in
-    flat parameter order, shaped like each layer's weights and biases."""
-    views, offset = {}, 0
-    for label, dense in params.layers():
-        gw = flat[offset : offset + dense.w.size].reshape(dense.w.shape)
-        offset += dense.w.size
-        views[label] = (gw, flat[offset : offset + dense.b.size])
-        offset += dense.b.size
-    return views
 
 
 def _input_bundle(t, x, spec: JetSpec, ws: Workspace):
@@ -432,18 +425,6 @@ def _bundle_iadd_rows(target: Jets, source: Jets, lo: int, hi: int):
     return target
 
 
-def _stages(params: ControlPinnParams):
-    """(branch label, hidden layers, head name, head layer) in network order.
-
-    The branch of each stage after the first reads the heads before it and
-    the previous branch's last hidden layer, stacked in that row order."""
-    return (
-        ("trunk", params.trunk, "y", params.y_head),
-        ("control", params.control, "u", params.u_head),
-        ("adjoint", params.adjoint, "lam", params.lam_head),
-    )
-
-
 class _Block:
     """The recorded jet pass of one column block, up to head ``through``.
 
@@ -451,18 +432,17 @@ class _Block:
     ``(input bundle, output bundle, d1, m, w)``: the bundles are shared, as
     each layer's output is the next layer's input, and ``(d1, m, w)`` are
     :func:`_act_fwd`'s factors.  No pre-activation bundle is kept, because
-    ELU runs in place.  ``head_in[name]`` is the hidden bundle that feeds
-    head ``name``, whose output bundle is ``heads[name]``.
+    ELU runs in place.  The last output bundle of a branch feeds its head,
+    whose output bundle is ``heads[name]``.
     """
 
-    __slots__ = ("records", "head_in", "heads")
+    __slots__ = ("records", "heads")
 
     def __init__(self, params: ControlPinnParams, inp: Jets, through: str, ws: Workspace):
         self.records = {}
-        self.head_in = {}
         self.heads = {}
         bundle = inp
-        for label, denses, name, head in _stages(params):
+        for label, denses, name, head in params.stages():
             records = []
             for i, dense in enumerate(denses):
                 out = _dense_fwd(dense, bundle, f"{label}.{i}", ws)
@@ -470,7 +450,6 @@ class _Block:
                 records.append((bundle, out, d1, m, w))
                 bundle = out
             self.records[label] = records
-            self.head_in[name] = bundle
             self.heads[name] = _dense_fwd(head, bundle, f"{name}_head", ws)
             if name == through:
                 break
@@ -485,33 +464,28 @@ class _Block:
         every later branch's input adjoint, latest branch first; the
         trunk's input adjoint is not formed.
         """
-        widths = (params.config.n_y, params.config.n_u, params.config.n_y)
-
-        def branch_bwd(label, denses, g_out, with_input):
-            records = self.records[label]
-            for i in range(len(denses) - 1, -1, -1):
-                j_in, out, d1, m, w = records[i]
-                g_z = _act_bwd(out, d1, m, w, g_out, ws)
-                g_out = _dense_bwd(denses[i], j_in, g_z, grads[f"{label}.{i}"], ws, with_input or i > 0)
-                ws.give(*g_z.comps())
-            return g_out
-
+        widths = params.config.head_widths
+        stages = params.stages()
         g_later = []  # input adjoints of the branches after the current stage
-        stages = _stages(params)
-        for k in range(len(self.head_in) - 1, -1, -1):
+        for k in range(len(self.records) - 1, -1, -1):
             label, denses, name, head = stages[k]
             lo = sum(widths[:k])
             g_head = g_heads[name]
             for g_in in g_later:
                 _bundle_iadd_rows(g_head, g_in, lo, lo + widths[k])
-            g_hidden = _dense_bwd(head, self.head_in[name], g_head, grads[f"{name}_head"], ws)
+            records = self.records[label]
+            g = _dense_bwd(head, records[-1][1], g_head, grads[f"{name}_head"], ws)
             ws.give(*g_head.comps())
             if g_later:
                 lo += widths[k]
-                _bundle_iadd_rows(g_hidden, g_later[-1], lo, lo + HIDDEN_WIDTH)
-            g_in = branch_bwd(label, denses, g_hidden, with_input=k > 0)
-            if g_in is not None:
-                g_later.append(g_in)
+                _bundle_iadd_rows(g, g_later[-1], lo, lo + HIDDEN_WIDTH)
+            for i in range(len(denses) - 1, -1, -1):
+                j_in, out, d1, m, w = records[i]
+                g_z = _act_bwd(out, d1, m, w, g, ws)
+                g = _dense_bwd(denses[i], j_in, g_z, grads[f"{label}.{i}"], ws, k > 0 or i > 0)
+                ws.give(*g_z.comps())
+            if g is not None:
+                g_later.append(g)
         for g_in in g_later:
             ws.give(*g_in.comps())
 
@@ -534,8 +508,8 @@ class NetworkTape:
     """One recorded jet forward pass over a batch of points.
 
     The points run in column blocks of at most ``BLOCK_POINTS``; each block
-    keeps its own records.  The branches run in head order y, u, lam and
-    stop after head ``through``, as in :func:`forward_values`.
+    keeps its own records.  The stages run in ``STAGES`` order and stop
+    after head ``through``, as in :func:`forward_values`.
     :meth:`head` exposes each computed head as :class:`Jets` whose slots are
     single ``Var`` leaves of shape (components, points) spanning the whole
     batch (None for the heads after ``through``); once a scalar loss built
@@ -609,7 +583,7 @@ class NetworkTape:
         accumulator and return it.  Call it once per tape."""
         params = self.params
         flat = np.zeros(params.num_params) if self._grads is None else self._grads
-        grads = _layer_views(params, flat)
+        grads = _flat_views(params.config, flat)
         for block, (lo, hi) in zip(self._blocks, self._bounds):
             g_heads = {name: self._leaf_adjoints(name, lo, hi) for name in self._heads}
             block.backward(params, g_heads, grads, self.workspace)
@@ -644,9 +618,10 @@ def _act_values(z):
 def forward_values(params: ControlPinnParams, t, x=None, through: str = "lam"):
     """Head values over a batch: arrays of shape (n_y, n), (n_u, n), (n_y, n).
 
-    The branches run in head order y, u, lam and stop after head
-    ``through``; the heads after it are returned as None.  Each head is
-    computed before any later branch, so it does not depend on ``through``.
+    The stages run in ``STAGES`` order and stop after head ``through``; the
+    heads after it are returned as None.  Each head is computed, and checked
+    for finiteness, before any later branch, so it does not depend on
+    ``through``.
     """
     if through not in HEADS:
         raise ValueError(f"through must be one of {HEADS}, got {through!r}")
@@ -655,7 +630,10 @@ def forward_values(params: ControlPinnParams, t, x=None, through: str = "lam"):
     x = np.zeros((t.size, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(t.size, sd)
     h = np.vstack([t[None, :], x.T]) if sd else t[None, :].copy()
 
-    def run(label, denses, h):
+    def branch(label, denses, h):
+        """The hidden layers on ``h``, which the caller holds until they return:
+        freeing it after the first layer reorders the allocator's reuse, and
+        the predator-prey probe pass then faults 16,316 pages, not 10,728."""
         for i, dense in enumerate(denses):
             z = dense.w @ h
             z += dense.b[:, None]
@@ -664,19 +642,16 @@ def forward_values(params: ControlPinnParams, t, x=None, through: str = "lam"):
             h = _act_values(z)
         return h
 
-    h = run("trunk", params.trunk, h)
-    y = params.y_head.w @ h + params.y_head.b[:, None]
-    u = lam = None
-    if through != "y":
-        c = run("control", params.control, np.vstack([y, h]))
-        u = params.u_head.w @ c + params.u_head.b[:, None]
-        if through == "lam":
-            a = run("adjoint", params.adjoint, np.vstack([y, u, c]))
-            lam = params.lam_head.w @ a + params.lam_head.b[:, None]
-    for name, out in (("y_head", y), ("u_head", u), ("lam_head", lam)):
-        if out is not None and not np.isfinite(out).all():
-            raise EvaluationError(f"non-finite output in {name}", layer=name)
-    return y, u, lam
+    heads = []
+    for label, denses, name, head in params.stages():
+        h = branch(label, denses, np.vstack([*heads, h]) if heads else h)
+        out = head.w @ h + head.b[:, None]
+        if not np.isfinite(out).all():
+            raise EvaluationError(f"non-finite output in {name}_head", layer=f"{name}_head")
+        heads.append(out)
+        if name == through:
+            break
+    return (*heads, *[None] * (len(HEADS) - len(heads)))
 
 
 # --------------------------------------------------------------------------

@@ -169,7 +169,16 @@ class ControlProblem:
         raise NotImplementedError
 
     def probe_points(self, shape=None):
-        raise NotImplementedError
+        """The regular grid of ``shape`` points per axis over the domain
+        (default :meth:`probe_shape`), time first: ``(t, x, shape)``, with
+        ``t`` of shape (n,) and ``x`` of shape (n, spatial_dim)."""
+        shape = tuple(shape or self.probe_shape())
+        d = self.domain
+        axes = [np.linspace(d.t0, d.tf, shape[0])]
+        axes += [np.linspace(lo, hi, n) for (lo, hi), n in zip(d.x_bounds, shape[1:])]
+        grids = np.meshgrid(*axes, indexing="ij")
+        x = np.column_stack([g.ravel() for g in grids[1:]]) if d.spatial_dim else np.zeros((grids[0].size, 0))
+        return grids[0].ravel(), x, shape
 
     def probe_report(self, t, x, y, u, lam, with_curve=False):
         raise NotImplementedError
@@ -214,6 +223,18 @@ def _rel_l2(a, b):
     if denom == 0.0:
         return float("inf")
     return float(np.linalg.norm(a - b) / denom)
+
+
+def _error_by_time(t, values, target):
+    """``(time, relative L2 error of values against target)`` at each
+    distinct entry of ``t``, ascending, leaving out the times where the
+    target vanishes (the error is undefined there)."""
+    curve = []
+    for tv in np.unique(t):
+        sel = t == tv
+        if np.linalg.norm(target[sel]) != 0.0:
+            curve.append((float(tv), _rel_l2(values[sel], target[sel])))
+    return curve
 
 
 class AnalyticalProblem(ControlProblem):
@@ -281,11 +302,6 @@ class AnalyticalProblem(ControlProblem):
 
     def probe_shape(self):
         return (1001,)
-
-    def probe_points(self, shape=None):
-        (nt,) = shape or self.probe_shape()
-        t = np.linspace(self.domain.t0, self.domain.tf, nt)
-        return t, np.zeros((nt, 0)), (nt,)
 
     def probe_report(self, t, x, y, u, lam, with_curve=False):
         report = {
@@ -437,30 +453,16 @@ class HeatProblem(ControlProblem):
     def probe_shape(self):
         return (101, 101)
 
-    def probe_points(self, shape=None):
-        nt, nx = shape or self.probe_shape()
-        t = np.linspace(self.domain.t0, self.domain.tf, nt)
-        x = np.linspace(*self.domain.x_bounds[0], nx)
-        tt, xx = np.meshgrid(t, x, indexing="ij")
-        return tt.ravel(), xx.reshape(-1, 1), (nt, nx)
-
     def probe_report(self, t, x, y, u, lam, with_curve=False):
         xs = x[:, 0]
+        target = self.y_star(t, xs)
         report = {
-            "err_y": _rel_l2(y[0], self.y_star(t, xs)),
+            "err_y": _rel_l2(y[0], target),
             "err_u": _rel_l2(u[0], self.u_star(t, xs)),
             "err_lam": None,
         }
         if with_curve:
-            times = np.unique(t)
-            curve = []
-            for tv in times:
-                sel = t == tv
-                ref = self.y_star(tv, xs[sel])
-                if np.linalg.norm(ref) == 0.0:
-                    continue  # the tracking target vanishes at t = 0
-                curve.append((float(tv), _rel_l2(y[0][sel], ref)))
-            report["error_by_time"] = curve
+            report["error_by_time"] = _error_by_time(t, y[0], target)  # no t = 0: the target vanishes there
         return report
 
     # outputs -----------------------------------------------------------------
@@ -604,15 +606,6 @@ class PredatorPreyProblem(ControlProblem):
     def probe_shape(self):
         return (11, 51, 51)
 
-    def probe_points(self, shape=None):
-        nt, n1, n2 = shape or self.probe_shape()
-        t = np.linspace(self.domain.t0, self.domain.tf, nt)
-        x1 = np.linspace(*self.domain.x_bounds[0], n1)
-        x2 = np.linspace(*self.domain.x_bounds[1], n2)
-        tt, xx1, xx2 = np.meshgrid(t, x1, x2, indexing="ij")
-        x = np.column_stack([xx1.ravel(), xx2.ravel()])
-        return tt.ravel(), x, (nt, n1, n2)
-
     def probe_report(self, t, x, y, u, lam, with_curve=False):
         target = self.y2_target(t, x[:, 0], x[:, 1])
         report = {
@@ -621,12 +614,7 @@ class PredatorPreyProblem(ControlProblem):
             "err_lam": None,
         }
         if with_curve:
-            times = np.unique(t)
-            curve = []
-            for tv in times:
-                sel = t == tv
-                curve.append((float(tv), _rel_l2(y[1][sel], target[sel])))
-            report["error_by_time"] = curve
+            report["error_by_time"] = _error_by_time(t, y[1], target)
         return report
 
     # outputs -----------------------------------------------------------------

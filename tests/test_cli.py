@@ -127,11 +127,12 @@ def test_run_that_overflows_the_network_exits_diverged(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--epochs", "-3"], ["train", "--seed", "-1"],
+    ["train", "--epochs", "-3"], ["train", "--seed", "-1"], ["train", "--epochs", "1", "--long"],
     ["validate", "--resolution", "1"], ["validate", "--resolution", "0"], ["validate", "--resolution", "-5"],
     ["export", "--resolution", "0"],
 ], ids=" ".join)
 def test_out_of_range_flag_exits_config_error(tmp_path, capsys, argv):
+    # --epochs and --long are two epoch budgets: the pair is refused like an out-of-range value
     out = tmp_path / "run"
     if argv[0] == "train":
         argv = [*argv, "--config", _cfg(tmp_path, TINY_ANALYTICAL), "--out", str(out)]
@@ -140,7 +141,8 @@ def test_out_of_range_flag_exits_config_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_CONFIG
-    assert f"argument {argv[1]}: must be >=" in capsys.readouterr().err
+    expected = "--long: not allowed with argument --epochs" if "--long" in argv else f"{argv[1]}: must be >="
+    assert f"argument {expected}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -68,6 +68,18 @@ def test_unknown_key_is_rejected_with_line_number(tmp_path):
     assert "volume" in str(err.value)
 
 
+@pytest.mark.parametrize("text", [
+    "[run]\nproblem = heat\nepochs = 5\nepochs = 7\n",
+    "[run]\nproblem = heat\nepochs = 5\n[loss]\ndata = 1\n[run]\nepochs = 5\n",
+], ids=["same block", "section reopened"])
+def test_repeated_key_is_rejected_with_both_lines(tmp_path, text):
+    # a repeated key would otherwise keep its last value without a word
+    with pytest.raises(ConfigError) as err:
+        parse_config(_write(tmp_path, text))
+    assert err.value.line == len(text.splitlines())
+    assert "'epochs' in [run] is already set on line 3" in str(err.value)
+
+
 def test_unknown_section_is_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(_write(tmp_path, "[runner]\nproblem = heat\n"))

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctrlpinn.autodiff import EvaluationError, JetSpec
 from ctrlpinn.config import parse_config
 from ctrlpinn.loss import loss_and_gradient
 from ctrlpinn.network import (
@@ -14,6 +15,7 @@ from ctrlpinn.network import (
     TRUNK_LAYERS,
     ArchitectureConfig,
     ControlPinnParams,
+    NetworkTape,
     Workspace,
     forward_values,
     init_params,
@@ -122,6 +124,57 @@ def test_architecture_constant_across_benchmarks():
         assert branch_counts == {"trunk": TRUNK_LAYERS, "control": CONTROL_LAYERS, "adjoint": ADJOINT_LAYERS}
         assert all(n_out == HIDDEN_WIDTH for _, n_out in hidden)
     assert shapes[0] == shapes[1] == shapes[2]
+
+
+# The wiring written out by hand, not read from the stage table: the flat
+# order of the layers, and the (label, n_out, n_in) of each branch's first
+# layer and of each head, for the predator-prey widths (t, x1, x2 in; two
+# states, one control).
+FLAT_ORDER = [
+    "trunk.0", "trunk.1", "trunk.2", "trunk.3", "trunk.4", "y_head",
+    "control.0", "control.1", "control.2", "u_head",
+    "adjoint.0", "adjoint.1", "lam_head",
+]
+WIRING = [
+    ("trunk.0", 100, 3), ("y_head", 2, 100),
+    ("control.0", 100, 2 + 100), ("u_head", 1, 100),
+    ("adjoint.0", 100, 2 + 1 + 100), ("lam_head", 2, 100),
+]
+
+
+def test_layer_wiring_is_pinned():
+    config = ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1)
+    dims = layer_dims(config)
+    assert [label for label, _, _ in dims] == FLAT_ORDER
+    assert [d for d in dims if d[0] in {label for label, _, _ in WIRING}] == WIRING
+    params = init_params(config, seed=0)
+    layers = [(label, *dense.w.shape) for label, dense in params.layers()]
+    assert layers == dims
+    assert params.control[0].w.shape == (100, 102) and params.lam_head.b.shape == (2,)
+
+
+@pytest.mark.parametrize("config, count", [
+    (ArchitectureConfig(0, 1, 1), 91_703),  # analytical
+    (ArchitectureConfig(1, 1, 1), 91_803),  # heat
+    (ArchitectureConfig(2, 2, 1), 92_305),  # predator-prey
+], ids=["analytical", "heat", "predator_prey"])
+def test_num_params_of_the_benchmark_architectures(config, count):
+    params = init_params(config, seed=0)
+    assert params.num_params == count == params.to_flat().size
+
+
+@pytest.mark.parametrize("through", ["y", "u", "lam"])
+def test_nonfinite_y_head_is_named_by_every_pass(through):
+    # the y head fails before any later branch reads it, in both passes
+    params = init_params(ArchitectureConfig(spatial_dim=2, n_y=2, n_u=1), seed=3)
+    params.y_head.b[1] = np.inf
+    t, x = np.linspace(0.0, 1.0, 7), np.full((7, 2), 0.5)
+    with pytest.raises(EvaluationError) as err:
+        forward_values(params, t, x, through=through)
+    assert err.value.layer == "y_head"
+    with pytest.raises(EvaluationError) as err:
+        NetworkTape(params, t, x, JetSpec(), through=through)
+    assert err.value.layer == "y_head"
 
 
 def test_flat_round_trip_bitwise():
