@@ -6,8 +6,10 @@ methods of the run's problem class (see ``ctrlpinn.problems``).
 
 Exit codes: 0 success, 2 configuration error (in the config file, in a flag
 such as an ``--out`` that cannot be made a directory or ``--epochs`` given
-with ``--long``, or in a run's saved config), 3 training divergence (partial artifacts are written), 4 missing or
-unusable run artifacts (no checkpoint, an unreadable one, one whose
+with ``--long``, or in a run's saved config) or ``export`` of a run with
+two space dimensions (CSV field export covers time-only and 1-D spatial
+problems), 3 training divergence (partial artifacts are written), 4
+missing or unusable run artifacts (no checkpoint, an unreadable one, one whose
 architecture does not fit the run's problem, one whose network overflows,
 a ``metrics.csv`` that is empty or does not parse, or outputs of
 ``validate`` or ``export`` that cannot be written, such as a

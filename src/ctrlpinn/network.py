@@ -42,6 +42,14 @@ predator-prey whatever the batch size; the tail block and the smaller
 condition sets reuse the full block's buffers.
 The run clears the pool before each probe and when its loop ends, which
 unmaps the pages, so nothing that runs afterwards stacks on top of them.
+
+The value passes borrow from a workspace as well: each layer's product,
+ELU's temporary (ELU runs in place over the product), the finiteness mask
+and the next branch's stacked input, each given back as soon as the next
+layer has read it.  ``trainer.forward_chunked`` gives a whole pass one pool
+of its own, shared by every chunk and dropped when the pass returns, so
+only the first chunk maps fresh pages.  The heads a pass returns are fresh
+arrays.
 """
 
 from __future__ import annotations
@@ -230,7 +238,7 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 class Workspace:
-    """A pool of buffers that jet tapes borrow arrays from and give back.
+    """A pool of buffers that jet tapes and value passes borrow arrays from.
 
     Each buffer is its own anonymous memory map.  :meth:`take` returns a
     C-contiguous array of the requested shape and dtype, with arbitrary
@@ -601,56 +609,64 @@ class NetworkTape:
 # bookkeeping.
 
 
-def _act_values(z):
-    """ELU as exp(min(z, 0)) - 1 + max(z, 0), with one exponential pass.
+def _act_values(z, ws: Workspace):
+    """ELU in place: z becomes max(z, 0) + (exp(min(z, 0)) - 1).
 
     At most one of the two parts is nonzero, so the sum is exactly the
-    branch value.  Consumes ``z``: max(z, 0) is written into its buffer.
+    branch value.  Returns ``z``.
     """
-    out = np.minimum(z, 0.0)
-    np.exp(out, out=out)
-    out -= 1.0
-    out += np.maximum(z, 0.0, out=z)
-    return out
+    e = np.minimum(z, 0.0, out=ws.take(z.shape))
+    np.exp(e, out=e)
+    e -= 1.0
+    np.maximum(z, 0.0, out=z)
+    z += e
+    ws.give(e)
+    return z
 
 
 @_quiet_overflow
-def forward_values(params: ControlPinnParams, t, x=None, through: str = "lam"):
+def forward_values(params: ControlPinnParams, t, x=None, through: str = "lam", workspace=None):
     """Head values over a batch: arrays of shape (n_y, n), (n_u, n), (n_y, n).
 
     The stages run in ``STAGES`` order and stop after head ``through``; the
     heads after it are returned as None.  Each head is computed, and checked
     for finiteness, before any later branch, so it does not depend on
-    ``through``.
+    ``through``.  The layers' arrays are borrowed from ``workspace`` (a
+    throwaway :class:`Workspace` when none is given) and all given back by
+    the time the call returns; the heads are fresh arrays.
     """
     if through not in HEADS:
         raise ValueError(f"through must be one of {HEADS}, got {through!r}")
+    ws = Workspace() if workspace is None else workspace
     t = np.atleast_1d(np.asarray(t, dtype=float))
     sd = params.config.spatial_dim
-    x = np.zeros((t.size, 0)) if sd == 0 else np.asarray(x, dtype=float).reshape(t.size, sd)
-    h = np.vstack([t[None, :], x.T]) if sd else t[None, :].copy()
-
-    def branch(label, denses, h):
-        """The hidden layers on ``h``, which the caller holds until they return:
-        freeing it after the first layer reorders the allocator's reuse, and
-        the predator-prey probe pass then faults 16,316 pages, not 10,728."""
-        for i, dense in enumerate(denses):
-            z = dense.w @ h
-            z += dense.b[:, None]
-            if not np.isfinite(z).all():
-                raise EvaluationError(f"non-finite activation in layer {label}.{i}", layer=f"{label}.{i}")
-            h = _act_values(z)
-        return h
-
+    h = ws.take((1 + sd, t.size))
+    h[0] = t
+    if sd:
+        h[1:] = np.asarray(x, dtype=float).reshape(t.size, sd).T
     heads = []
     for label, denses, name, head in params.stages():
-        h = branch(label, denses, np.vstack([*heads, h]) if heads else h)
-        out = head.w @ h + head.b[:, None]
+        for i, dense in enumerate(denses):
+            z = np.matmul(dense.w, h, out=ws.take((dense.w.shape[0], h.shape[1])))
+            ws.give(h)
+            z += dense.b[:, None]
+            finite = np.isfinite(z, out=ws.take(z.shape, bool))
+            ok = finite.all()
+            ws.give(finite)
+            if not ok:
+                raise EvaluationError(f"non-finite activation in layer {label}.{i}", layer=f"{label}.{i}")
+            h = _act_values(z, ws)
+        out = head.w @ h
+        out += head.b[:, None]
         if not np.isfinite(out).all():
             raise EvaluationError(f"non-finite output in {name}_head", layer=f"{name}_head")
         heads.append(out)
         if name == through:
+            ws.give(h)
             break
+        stacked = _stack_rows([*heads, h], ws)
+        ws.give(h)
+        h = stacked
     return (*heads, *[None] * (len(HEADS) - len(heads)))
 
 

@@ -88,15 +88,6 @@ class ControlField:
     def to_csv(self, path):
         _write_grid_csv(path, self.t0, self.tf, self.x0, self.x1, self.values)
 
-    @classmethod
-    def from_csv(cls, path):
-        lines = Path(path).read_text().strip().splitlines()
-        spec = dict(part.split("=") for part in lines[0].split(","))
-        values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        if values.shape != (int(spec["nt"]), int(spec["nx"])):
-            raise ValueError(f"{path}: value block does not match the declared grid")
-        return cls(float(spec["t0"]), float(spec["tf"]), float(spec["x0"]), float(spec["x1"]), values)
-
 
 @dataclass
 class DnsSolution:

@@ -10,12 +10,14 @@ package's own machinery, so tests that use them are genuine cross-checks.
 
 At the end: small helpers over the package's own network and loss
 (:func:`jet_eval`, :func:`head_values`, :func:`forward`, :func:`evaluate`,
-:func:`loss_gradient`) that only tests need, and the loss over the whole
+:func:`loss_gradient`) that only tests need, the loss over the whole
 batch as one graph (:func:`whole_batch_loss_and_gradient`), the reference
-for the streamed training step.
+for the streamed training step, and the reader of exported field CSVs
+(:func:`read_field`).
 """
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import sympy as sp
@@ -443,3 +445,14 @@ def loss_gradient(params, evaluator):
 def workspace_bytes(workspace):
     """Bytes of the buffers free in a ``network.Workspace``."""
     return sum(len(a.base) for free in workspace._free.values() for a in free)
+
+
+def read_field(path):
+    """The :class:`ControlField` of a grid CSV that ``ControlField.to_csv``
+    wrote: the header's grid spec, then one row of values per time."""
+    lines = Path(path).read_text().strip().splitlines()
+    spec = dict(part.split("=") for part in lines[0].split(","))
+    values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    if values.shape != (int(spec["nt"]), int(spec["nx"])):
+        raise ValueError(f"{path}: value block does not match the declared grid")
+    return ControlField(float(spec["t0"]), float(spec["tf"]), float(spec["x0"]), float(spec["x1"]), values)

@@ -7,6 +7,8 @@ import pytest
 from ctrlpinn import cli, problems
 from ctrlpinn.network import forward_values
 
+from oracles import read_field
+
 
 TINY_ANALYTICAL = """
 [run]
@@ -34,6 +36,19 @@ diffusivity = 1.0
 
 [sampler]
 interior = 48
+initial = 8
+terminal = 8
+boundary = 8
+"""
+
+TINY_PREY = """
+[run]
+problem = predator_prey
+epochs = 0
+eval_every = 0
+
+[sampler]
+interior = 16
 initial = 8
 terminal = 8
 boundary = 8
@@ -311,9 +326,8 @@ def test_export_fields(tmp_path):
     code = cli.main(["export", str(out), "--resolution", "41"])
     assert code == cli.EXIT_OK
     from ctrlpinn.network import load_params
-    from ctrlpinn.validators import ControlField
 
-    field = ControlField.from_csv(out / "export_u.csv")
+    field = read_field(out / "export_u.csv")
     assert field.values.shape == (41, 41)
     # the fields are the network's own values, written exactly
     params, _ = load_params(out / "checkpoint_final.json")
@@ -321,7 +335,16 @@ def test_export_fields(tmp_path):
     tt, xx = np.meshgrid(t, t, indexing="ij")
     y, u, _ = forward_values(params, tt.ravel(), xx.reshape(-1, 1))
     assert np.array_equal(field.values, u[0].reshape(41, 41))
-    assert np.array_equal(ControlField.from_csv(out / "export_y.csv").values, y[0].reshape(41, 41))
+    assert np.array_equal(read_field(out / "export_y.csv").values, y[0].reshape(41, 41))
+
+
+def test_export_of_a_two_dimensional_run_exits_config_error(tmp_path, capsys):
+    # CSV fields are (t, x) grids, so a predator-prey run has nothing to export
+    out = _trained(tmp_path, TINY_PREY, "prey")
+    capsys.readouterr()
+    assert cli.main(["export", str(out), "--resolution", "21"]) == cli.EXIT_CONFIG
+    assert "covers time-only and 1-D spatial problems" in capsys.readouterr().err
+    assert not (out / "export_u.csv").exists()
 
 
 def test_emitted_svgs_are_byte_deterministic(tmp_path):

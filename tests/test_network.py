@@ -315,6 +315,30 @@ def test_results_do_not_depend_on_which_buffers_serve_the_tape(config_name):
     assert np.array_equal(reused[0], fresh[0]) and np.array_equal(reused[1], fresh[1])
 
 
+@pytest.mark.parametrize("through", ["y", "u", "lam"])
+@pytest.mark.parametrize("config_name", ["analytical", "heat", "predator_prey"])
+def test_value_pass_does_not_depend_on_which_buffers_serve_it(config_name, through):
+    # the value pass's layers borrowed from a workspace of stale, garbage-
+    # filled buffers give the heads of a fresh workspace bit for bit, and
+    # the heads returned are not workspace memory that a later pass reuses
+    _, problem, params = _shipped(config_name)
+    t, x, _ = problem.probe_points()
+    fresh = forward_values(params, t, x, through=through, workspace=Workspace())
+    workspace = Workspace()
+    stale = [workspace.take(shape) for shape in [(100, 300), (103, 257), (7, 1000), (2, 10), (60_000,)] * 3]
+    for i, a in enumerate(stale):
+        a.fill([np.nan, np.inf, -1e300][i % 3])
+    workspace.give(*stale)
+    workspace.give(*[workspace.take((30, 40), bool) for _ in range(4)])
+    reused = forward_values(params, t, x, through=through, workspace=workspace)
+    kept = [head.copy() for head in reused if head is not None]
+    forward_values(params, t[::-1], x[::-1], through=through, workspace=workspace)
+    for got, ref, before in zip(reused, fresh, kept):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(got.view(np.int64), before.view(np.int64))
+    assert [head is None for head in reused] == [head is None for head in fresh]
+
+
 @pytest.mark.parametrize("config_name", ["analytical", "heat", "predator_prey"])
 def test_streamed_step_equals_the_whole_batch_graph(config_name):
     # the interior set streamed in column blocks gives the breakdown and the

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctrlpinn.loss import LossWeights
-from ctrlpinn.network import init_params
+from ctrlpinn.network import Workspace, forward_values, init_params
 from ctrlpinn.problems import PROBLEMS, get_problem
 from ctrlpinn.sampler import SampleSizes
 from ctrlpinn.trainer import (
@@ -22,6 +22,8 @@ from ctrlpinn.trainer import (
     train,
     write_metrics,
 )
+
+from oracles import workspace_bytes
 
 
 SMALL = SampleSizes(interior=64, initial=16, terminal=16, boundary=16)
@@ -262,3 +264,45 @@ def test_probe_report_equals_the_report_of_a_full_pass(name):
     t, x, _ = problem.probe_points()
     full = problem.probe_report(t, x, *forward_chunked(params, t, x), with_curve=True)
     assert evaluate_probe(params, problem, with_curve=True) == full
+
+
+def _value_pass_inputs(name, n):
+    problem = get_problem(name)
+    params = init_params(problem.arch_config(), seed=8)
+    rng = np.random.default_rng(n)
+    return params, rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, (n, problem.domain.spatial_dim))
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3 * 1024 + 33])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_chunked_pass_agrees_with_one_call(name, n):
+    # chunking moves a value only where OpenBLAS runs a chunk's tail columns
+    # through another kernel, at rounding level
+    params, t, x = _value_pass_inputs(name, n)
+    for chunked, whole in zip(forward_chunked(params, t, x), forward_values(params, t, x)):
+        assert chunked.shape == whole.shape
+        assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+def test_chunked_pass_maps_one_chunk_of_buffers():
+    # every chunk reuses the first chunk's buffers, so the workspace holds as
+    # much after 30 chunks as after 3
+    mapped = []
+    for chunks in (3, 30):
+        params, t, x = _value_pass_inputs("predator_prey", (chunks - 1) * 1024 + 500)
+        workspace = Workspace()
+        forward_chunked(params, t, x, workspace=workspace)
+        mapped.append(workspace_bytes(workspace))
+    assert mapped[0] == mapped[1] > 0
+
+
+@pytest.mark.parametrize("through", ["y", "u", "lam"])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_chunked_pass_over_no_points_returns_empty_heads(name, through):
+    # as forward_values does: (width, 0) heads up to `through`, None after it
+    params, t, x = _value_pass_inputs(name, 0)
+    chunked = forward_chunked(params, t, x, through=through)
+    whole = forward_values(params, t, x, through=through)
+    assert len(chunked) == 3
+    for got, ref in zip(chunked, whole):
+        assert (got is None and ref is None) or got.shape == ref.shape == (ref.shape[0], 0)
