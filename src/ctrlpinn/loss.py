@@ -208,21 +208,24 @@ def _fold(total, tapes):
             tape.release()
 
 
-def loss_and_gradient(params, problem, batch, weights: LossWeights = LossWeights(), workspace=None):
+def loss_and_gradient(params, problem, batch, weights: LossWeights = LossWeights(), workspace=None, out=None):
     """Weighted breakdown plus the flat parameter gradient of the total.
 
     Streams the interior set one column block at a time, then the condition
     sets (see the module docstring).  The interior blocks fold straight
     into the returned gradient, which starts at zero; the condition tapes
     fold into rows of one workspace array, added to it in set order.  The
-    tapes borrow their arrays from ``workspace``, a ``network.Workspace``
-    that a caller may keep across calls so that each call reuses the last
-    one's memory; without one a throwaway workspace serves this call.
-    Neither the breakdown nor the gradient shares memory with the workspace.
+    gradient is ``out`` (a float vector of ``num_params``, overwritten)
+    when given, else a fresh array.  The tapes borrow their arrays from
+    ``workspace``, a ``network.Workspace`` that a caller may keep across
+    calls so that each call reuses the last one's memory; without one a
+    throwaway workspace serves this call.  Neither the breakdown nor the
+    gradient shares memory with the workspace.
     """
     if workspace is None:
         workspace = Workspace()
-    gradient = np.zeros(params.num_params)
+    gradient = np.empty(params.num_params) if out is None else out
+    gradient.fill(0.0)
     interior = []
     for block in column_blocks(batch.interior[0].size):
         total, tapes, heads = evaluate_with_graph(params, problem, batch, weights, workspace, block=block, grads=gradient)

@@ -238,7 +238,7 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 class Workspace:
-    """A pool of buffers that jet tapes and value passes borrow arrays from.
+    """A pool of buffers that jet tapes, value passes and ADAM borrow from.
 
     Each buffer is its own anonymous memory map.  :meth:`take` returns a
     C-contiguous array of the requested shape and dtype, with arbitrary

@@ -50,12 +50,16 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(state: AdamState, params_flat: np.ndarray, gradient: np.ndarray):
+def adam_step(state: AdamState, params_flat: np.ndarray, gradient: np.ndarray, workspace=None):
     """One ADAM update; returns the advanced state and parameter vector.
 
     Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
-    params - lr m_hat / sqrt(v_hat + eps) with one scratch vector besides
-    the three it returns; ``state`` is left unchanged.
+    params - lr m_hat / sqrt(v_hat + eps).  Without a ``workspace`` the
+    three vectors it returns are fresh and ``state`` and ``params_flat`` are
+    left unchanged.  With one (a ``network.Workspace``) the update runs in
+    place: ``state.m``, ``state.v`` and ``params_flat`` are overwritten and
+    returned, and the two scratch vectors are borrowed from the workspace
+    and given back.  The bits are the same either way.
     """
     if gradient.shape != params_flat.shape:
         raise ValueError("gradient/parameter shape mismatch")
@@ -63,20 +67,25 @@ def adam_step(state: AdamState, params_flat: np.ndarray, gradient: np.ndarray):
         index = int(np.flatnonzero(~np.isfinite(gradient))[0])
         raise NonFiniteGradientError(index, gradient[index])
     k = state.step + 1
-    scratch = np.multiply(gradient, 1.0 - state.beta1)
-    m = np.multiply(state.m, state.beta1)
+    if workspace is None:  # update copies, not the caller's vectors
+        m, v, updated, workspace = state.m.copy(), state.v.copy(), params_flat.copy(), Workspace()
+    else:
+        m, v, updated = state.m, state.v, params_flat
+    scratch = np.multiply(gradient, 1.0 - state.beta1, out=workspace.take(gradient.shape))
+    m *= state.beta1
     m += scratch
-    v = np.multiply(state.v, state.beta2)
+    v *= state.beta2
     np.multiply(gradient, 1.0 - state.beta2, out=scratch)
     scratch *= gradient
     v += scratch
     np.divide(v, 1.0 - state.beta2**k, out=scratch)  # v_hat
     scratch += state.eps
     np.sqrt(scratch, out=scratch)
-    updated = np.divide(m, 1.0 - state.beta1**k)  # m_hat
-    updated *= state.lr
-    updated /= scratch
-    np.subtract(params_flat, updated, out=updated)
+    step = np.divide(m, 1.0 - state.beta1**k, out=workspace.take(gradient.shape))  # m_hat
+    step *= state.lr
+    step /= scratch
+    updated -= step
+    workspace.give(scratch, step)
     new_state = AdamState(m=m, v=v, step=k, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
     return new_state, updated
 
@@ -114,24 +123,22 @@ class RunRecord:
     start_epoch: int = 0
 
 
-def forward_chunked(params, t, x, chunk: int = 1024, through: str = "lam", workspace=None):
+def forward_chunked(params, t, x, chunk: int = 1024, through: str = "lam"):
     """Head values over a large batch, in chunks of ``chunk`` points.
 
-    Every chunk borrows its layers' arrays from one :class:`Workspace`
-    (``workspace``, or a pool of the pass's own, dropped when it returns),
-    so only the first chunk maps fresh pages; each chunk's heads are written
-    into the whole batch's outputs.  A (100, 1024) layer array stays in L2
-    through the ELU passes: on heat's 401 x 401 grid (one BLAS thread, a
-    shared 2-core host) a pass took 0.74 s in 1024-point chunks, 0.76-0.79 s
-    in 512-point and 0.93-0.98 s in 2048-point ones.  A column's value may
-    depend on the chunk size in the last bits: OpenBLAS computes the tail
-    columns of a product with another kernel, so ``W @ A[:, :n]`` and
-    ``(W @ A)[:, :n]`` can differ (they do for n = 1, 3, 4 and 33).  Heads
-    after ``through`` are None (see forward_values), also over 0 points.
+    Every chunk borrows its layers' arrays from one :class:`Workspace` of
+    the pass's own, dropped when it returns, so only the first chunk maps
+    fresh pages; each chunk's heads are written into the whole batch's
+    outputs.  A (100, 1024) layer array stays in L2 through the ELU passes:
+    on heat's 401 x 401 grid (one BLAS thread, a shared 2-core host) a pass
+    took 0.74 s in 1024-point chunks, 0.76-0.79 s in 512-point and
+    0.93-0.98 s in 2048-point ones.  A column's value may depend on the
+    chunk size in the last bits: OpenBLAS computes the tail columns of a
+    product with another kernel, so ``W @ A[:, :n]`` and ``(W @ A)[:, :n]``
+    can differ (they do for n = 1, 3, 4 and 33).  Heads after ``through``
+    are None (see forward_values), also over 0 points.
     """
-    if through not in HEADS:
-        raise ValueError(f"through must be one of {HEADS}, got {through!r}")
-    ws = Workspace() if workspace is None else workspace
+    ws = Workspace()
     n = t.size
     widths = params.config.head_widths[: HEADS.index(through) + 1]
     outputs = [np.empty((width, n)) for width in widths]
@@ -301,15 +308,20 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
     last_epoch = start_epoch + n_epochs
     initial_probe = evaluate_probe(params, problem) if start_epoch == 0 else None
 
-    # The tapes' arrays, reused from epoch to epoch.  It is cleared before
-    # every probe and after the loop, so that probes, checkpoints and
-    # whatever runs after training do not stack on top of it.
+    # The tapes' arrays and ADAM's scratch vectors, reused from epoch to
+    # epoch.  It is cleared before every probe and after the loop, so that
+    # probes, checkpoints and whatever runs after training do not stack on
+    # top of it.  The gradient goes into one vector of the run's, and ADAM
+    # updates ``flat`` and the moments in place, so an epoch allocates no
+    # vector of num_params floats: whether glibc would map such a vector
+    # afresh depends on what the process freed before.
     workspace = Workspace()
+    gradient = np.empty_like(flat)
     epoch = start_epoch
     for epoch in range(start_epoch + 1, last_epoch + 1):
         batch = sample(problem.domain, settings.sizes, rng, epoch)
         try:
-            breakdown, gradient = loss_and_gradient(params, problem, batch, settings.weights, workspace)
+            breakdown, gradient = loss_and_gradient(params, problem, batch, settings.weights, workspace, gradient)
         except EvaluationError:
             status = "diverged"
             epoch -= 1
@@ -322,7 +334,7 @@ def _run(problem, settings, params, adam, rng, start_epoch, n_epochs, out_dir, l
         if settings.lr_half_life:
             adam.lr = settings.lr * 0.5 ** ((epoch - 1) / settings.lr_half_life)
         try:
-            adam, flat = adam_step(adam, flat, gradient)
+            adam, flat = adam_step(adam, flat, gradient, workspace)
         except NonFiniteGradientError:
             history.append(row)
             status = "diverged"

@@ -262,6 +262,20 @@ def test_shared_workspace_matches_fresh_workspaces(config_name):
     assert np.array_equal(shared[0][1].view(np.int64), first_gradient.view(np.int64))
 
 
+@pytest.mark.parametrize("config_name", ["analytical", "heat", "predator_prey"])
+def test_gradient_into_a_given_vector_matches_a_fresh_one(config_name):
+    # a training run passes the same vector every epoch; stale contents
+    # must not leak into the sum
+    config, problem, params = _shipped(config_name)
+    batch = sample(problem.domain, config.sizes, make_rng(4), 1)
+    fresh = _bits(*loss_and_gradient(params, problem, batch, config.weights))
+    out = np.full(params.num_params, np.nan)
+    breakdown, gradient = loss_and_gradient(params, problem, batch, config.weights, Workspace(), out)
+    assert gradient is out
+    for got, want in zip(_bits(breakdown, gradient), fresh):
+        assert np.array_equal(got, want)
+
+
 def test_reused_workspace_allocates_little():
     # once a workspace has served one predator-prey step, the next step maps
     # no new tape arrays; without a workspace the step traces about 83 MiB

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ctrlpinn import trainer
 from ctrlpinn.loss import LossWeights
 from ctrlpinn.network import Workspace, forward_values, init_params
 from ctrlpinn.problems import PROBLEMS, get_problem
@@ -79,6 +80,25 @@ def test_adam_step_equals_the_textbook_expressions_bitwise():
         for got, want in ((new_state.m, m), (new_state.v, v), (new_theta, ref)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
         state, theta = new_state, new_theta
+
+
+def test_adam_step_in_place_gives_the_fresh_vectors_bits():
+    # with a workspace the update overwrites the state and parameters it is
+    # given, and both scratch vectors go back to the workspace
+    rng = np.random.default_rng(22)
+    n = 2000
+    fresh = AdamState.init(n, lr=2e-3), rng.standard_normal(n)
+    in_place = AdamState.init(n, lr=2e-3), fresh[1].copy()
+    workspace = Workspace()
+    for _ in range(5):
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 2.0, n)
+        fresh = adam_step(*fresh, g)
+        state, theta = in_place
+        in_place = adam_step(state, theta, g, workspace)
+        assert in_place[0].m is state.m and in_place[0].v is state.v and in_place[1] is theta
+        for got, want in zip((in_place[0].m, in_place[0].v, in_place[1]), (fresh[0].m, fresh[0].v, fresh[1])):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert workspace_bytes(workspace) == 2 * n * 8
 
 
 def test_adam_rejects_nonfinite_gradient_with_index():
@@ -284,15 +304,23 @@ def test_chunked_pass_agrees_with_one_call(name, n):
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 
-def test_chunked_pass_maps_one_chunk_of_buffers():
-    # every chunk reuses the first chunk's buffers, so the workspace holds as
-    # much after 30 chunks as after 3
+def test_chunked_pass_maps_one_chunk_of_buffers(monkeypatch):
+    # every chunk reuses the first chunk's buffers, so the pass's workspace
+    # holds as much after 30 chunks as after 3
+    pools = []
+
+    class RecordedWorkspace(Workspace):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
+    monkeypatch.setattr(trainer, "Workspace", RecordedWorkspace)
     mapped = []
     for chunks in (3, 30):
         params, t, x = _value_pass_inputs("predator_prey", (chunks - 1) * 1024 + 500)
-        workspace = Workspace()
-        forward_chunked(params, t, x, workspace=workspace)
-        mapped.append(workspace_bytes(workspace))
+        forward_chunked(params, t, x)
+        mapped.append(workspace_bytes(pools[-1]))
+    assert len(pools) == 2
     assert mapped[0] == mapped[1] > 0
 
 
