@@ -14,8 +14,10 @@ architecture does not fit the run's problem, one whose network overflows,
 a ``metrics.csv`` that is empty or does not parse, or outputs of
 ``validate`` or ``export`` that cannot be written, such as a
 ``validation`` that is a regular file).
-``CTRLPINN_THREADS`` caps BLAS threads (default 1; set before numpy is first
-imported, which is why the heavy imports below live inside functions).
+``CTRLPINN_THREADS`` caps the BLAS threads of each matrix product (default
+1; set before numpy is first imported, which is why the heavy imports below
+live inside functions).  Value passes run floor(CPUs / cap) chunks at once
+(``trainer.forward_chunked``), with results that do not depend on it.
 """
 
 from __future__ import annotations

@@ -46,10 +46,13 @@ unmaps the pages, so nothing that runs afterwards stacks on top of them.
 The value passes borrow from a workspace as well: each layer's product,
 ELU's temporary (ELU runs in place over the product), the finiteness mask
 and the next branch's stacked input, each given back as soon as the next
-layer has read it.  ``trainer.forward_chunked`` gives a whole pass one pool
-of its own, shared by every chunk and dropped when the pass returns, so
-only the first chunk maps fresh pages.  The heads a pass returns are fresh
-arrays.
+layer has read it.  ``trainer.forward_chunked`` runs a large pass in
+1024-point chunks on several lanes at once, one per ``CTRLPINN_THREADS``
+CPUs that the process may run on: the calling thread and threads started
+for the pass.  Each lane has a pool of its own, shared by its chunks and
+dropped when the pass returns, so only a lane's first chunk maps fresh
+pages.  A chunk's values do not depend on its lane.  The heads a pass
+returns are fresh arrays.
 """
 
 from __future__ import annotations
@@ -234,17 +237,21 @@ BLOCK_POINTS = 256
 
 # Overflow in a pass is expected once training diverges: the finiteness
 # checks turn it into an EvaluationError, so numpy need not warn as well.
+# Use it only as a decorator: value passes run on several threads at once,
+# and its ``with`` form keeps a token on the shared instance.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 class Workspace:
     """A pool of buffers that jet tapes, value passes and ADAM borrow from.
 
-    Each buffer is its own anonymous memory map.  :meth:`take` returns a
-    C-contiguous array of the requested shape and dtype, with arbitrary
-    contents, over the first bytes of the smallest free buffer that holds
-    it, or maps a new buffer of exactly its size when none does; a buffer
-    serves any dtype, so a bool mask may sit in the pages of a float array.
+    Each buffer is its own private anonymous memory map, so the writes of
+    a forked child to a borrowed array stay in the child.  :meth:`take`
+    returns a C-contiguous array of the requested shape and dtype, with
+    arbitrary contents, over the first bytes of the smallest free buffer
+    that holds it, or maps a new buffer of exactly its size when none does;
+    a buffer serves any dtype, so a bool mask may sit in the pages of a
+    float array.
     :meth:`give` returns each array's whole buffer to the pool.  Serving by
     size lets the tail column block of a batch and the smaller condition
     sets reuse the pages of the full blocks before them.  A run keeps one
@@ -264,7 +271,7 @@ class Workspace:
         sizes = self._sizes
         i = bisect.bisect_left(sizes, nbytes)
         if i == len(sizes):
-            return np.ndarray(shape, dtype, mmap.mmap(-1, nbytes))
+            return np.ndarray(shape, dtype, mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE))
         free = self._free[sizes[i]]
         a = free.pop()
         if not free:

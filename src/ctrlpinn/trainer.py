@@ -10,6 +10,8 @@ continues bitwise-identically.
 from __future__ import annotations
 
 import base64
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,29 +125,93 @@ class RunRecord:
     start_epoch: int = 0
 
 
-def forward_chunked(params, t, x, chunk: int = 1024, through: str = "lam"):
-    """Head values over a large batch, in chunks of ``chunk`` points.
+# Points per chunk of a value pass.  A (100, 1024) layer array stays in L2
+# through the ELU passes; see forward_chunked for the measurements.
+VALUE_CHUNK = 1024
 
-    Every chunk borrows its layers' arrays from one :class:`Workspace` of
-    the pass's own, dropped when it returns, so only the first chunk maps
-    fresh pages; each chunk's heads are written into the whole batch's
-    outputs.  A (100, 1024) layer array stays in L2 through the ELU passes:
-    on heat's 401 x 401 grid (one BLAS thread, a shared 2-core host) a pass
-    took 0.74 s in 1024-point chunks, 0.76-0.79 s in 512-point and
-    0.93-0.98 s in 2048-point ones.  A column's value may depend on the
-    chunk size in the last bits: OpenBLAS computes the tail columns of a
-    product with another kernel, so ``W @ A[:, :n]`` and ``(W @ A)[:, :n]``
-    can differ (they do for n = 1, 3, 4 and 33).  Heads after ``through``
-    are None (see forward_values), also over 0 points.
+
+def _value_lanes():
+    """Chunks a value pass runs at once: the CPUs this process may run on,
+    divided by the BLAS threads each product may use (``CTRLPINN_THREADS``)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    try:
+        per_call = max(1, int(os.environ.get("CTRLPINN_THREADS", "1")))
+    except ValueError:
+        per_call = 1
+    return max(1, cpus // per_call)
+
+
+def forward_chunked(params, t, x, through: str = "lam"):
+    """Head values over a large batch, in chunks of ``VALUE_CHUNK`` points
+    run on several lanes at once.
+
+    The lanes are the calling thread and ``L - 1`` threads started for the
+    call, where L is :func:`_value_lanes` but at most the chunk count, so a
+    pass of one chunk, or on one CPU, runs in the caller's thread alone.
+    Chunk k runs on lane k mod L.  Each lane borrows its layers' arrays
+    from a :class:`Workspace` of its own, dropped when the pass returns, so
+    only a lane's first chunk maps fresh pages, and writes its chunks' heads
+    into their columns of the whole batch's outputs.  A chunk's values do
+    not depend on the lane that runs it, so the heads are bitwise those of
+    one loop over the chunks.  On heat's 401 x 401 grid through u (one
+    BLAS thread per product, a shared 2-core host, medians of 8 and of 14
+    calls) a two-lane pass took 0.42-0.44 s in 1024-point chunks,
+    0.43-0.47 s in 512-point and 0.44-0.48 s in 2048-point ones; one lane
+    took 0.73-0.75 s in 1024-point chunks.  A column's value may depend on
+    the chunk size in the last bits: OpenBLAS computes the tail columns of
+    a product with another kernel, so ``W @ A[:, :n]`` and
+    ``(W @ A)[:, :n]`` can differ (they do for n = 1, 3, 4 and 33).  Heads
+    after ``through`` are None (see forward_values), also over 0 points.
+
+    When a chunk raises, each lane stops at its first chunk past the lowest
+    failing one; every thread is joined before the call returns or raises,
+    and the error raised is that of the lowest failing chunk, the one a
+    serial loop would raise.
     """
-    ws = Workspace()
     n = t.size
     widths = params.config.head_widths[: HEADS.index(through) + 1]
     outputs = [np.empty((width, n)) for width in widths]
-    for lo in range(0, n, chunk):
-        heads = forward_values(params, t[lo : lo + chunk], x[lo : lo + chunk], through=through, workspace=ws)
-        for out, head in zip(outputs, heads):
-            out[:, lo : lo + chunk] = head
+    chunks = -(-n // VALUE_CHUNK)
+    lanes = min(_value_lanes(), max(chunks, 1))
+    pools = [Workspace() for _ in range(lanes)]
+    failure = [chunks, None]  # the lowest failing chunk so far and its error
+    lock = threading.Lock()
+
+    def run_lane(lane):
+        ws = pools[lane]
+        for k in range(lane, chunks, lanes):
+            if k > failure[0]:
+                return
+            lo, hi = k * VALUE_CHUNK, (k + 1) * VALUE_CHUNK
+            try:
+                heads = forward_values(params, t[lo:hi], x[lo:hi], through=through, workspace=ws)
+            except BaseException as error:  # re-raised by the caller's thread
+                with lock:
+                    if k < failure[0]:
+                        failure[:] = [k, error]
+                return
+            for out, head in zip(outputs, heads):
+                out[:, lo:hi] = head
+
+    threads = []
+    try:
+        for lane in range(1, lanes):
+            thread = threading.Thread(target=run_lane, args=(lane,))
+            thread.start()
+            threads.append(thread)
+        run_lane(0)
+    except BaseException:  # such as a thread that could not start
+        with lock:
+            failure[0] = -1  # the running lanes start no further chunk
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if failure[1] is not None:
+        raise failure[1]
     return (*outputs, *[None] * (len(HEADS) - len(outputs)))
 
 

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -310,6 +311,27 @@ def test_workspace_serves_a_request_from_a_larger_free_buffer():
     assert np.shares_memory(workspace.take((4,)), small)  # the smallest that fits
     workspace.clear()
     assert workspace_bytes(workspace) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_writes_to_a_borrowed_array_stay_in_the_child():
+    # buffers are private maps: with shared ones, the child's write showed
+    # in the parent, and two forked children reusing an inherited pool
+    # overwrote each other's arrays
+    workspace = Workspace()
+    a = workspace.take((100, 256))
+    a.fill(1.0)
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            a.fill(2.0)
+            status = 0 if (a == 2.0).all() else 1
+        finally:
+            os._exit(status)
+    _, wait_status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(wait_status) == 0
+    assert (a == 1.0).all()
 
 
 @pytest.mark.parametrize("config_name", ["analytical", "heat", "predator_prey"])

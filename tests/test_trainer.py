@@ -1,10 +1,14 @@
 import base64
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from ctrlpinn import trainer
+from ctrlpinn.autodiff import EvaluationError
 from ctrlpinn.loss import LossWeights
 from ctrlpinn.network import Workspace, forward_values, init_params
 from ctrlpinn.problems import PROBLEMS, get_problem
@@ -305,7 +309,7 @@ def test_chunked_pass_agrees_with_one_call(name, n):
 
 
 def test_chunked_pass_maps_one_chunk_of_buffers(monkeypatch):
-    # every chunk reuses the first chunk's buffers, so the pass's workspace
+    # every lane reuses its first chunk's buffers, so each lane's workspace
     # holds as much after 30 chunks as after 3
     pools = []
 
@@ -315,13 +319,158 @@ def test_chunked_pass_maps_one_chunk_of_buffers(monkeypatch):
             pools.append(self)
 
     monkeypatch.setattr(trainer, "Workspace", RecordedWorkspace)
+    monkeypatch.setattr(trainer, "_value_lanes", lambda: 2)
     mapped = []
     for chunks in (3, 30):
         params, t, x = _value_pass_inputs("predator_prey", (chunks - 1) * 1024 + 500)
         forward_chunked(params, t, x)
-        mapped.append(workspace_bytes(pools[-1]))
-    assert len(pools) == 2
-    assert mapped[0] == mapped[1] > 0
+        mapped.append([workspace_bytes(pool) for pool in pools[-2:]])
+    assert len(pools) == 4
+    assert mapped[0] == mapped[1] and min(mapped[0]) > 0
+
+
+def _serial_chunks(params, t, x):
+    """The heads of one loop over VALUE_CHUNK-point chunks in this thread."""
+    step = trainer.VALUE_CHUNK
+    parts = [forward_values(params, t[lo : lo + step], x[lo : lo + step]) for lo in range(0, t.size, step)]
+    return [np.hstack(heads) for heads in zip(*parts)]
+
+
+def _run_on_lanes(monkeypatch, lanes, run):
+    """``run()`` with the lane count forced to ``lanes`` and the switch
+    interval at its shortest; (its result or the EvaluationError it raised,
+    the threads it left alive, each joined with a timeout)."""
+    monkeypatch.setattr(trainer, "_value_lanes", lambda: lanes)
+    before = set(threading.enumerate())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcome = run()
+    except EvaluationError as error:
+        outcome = error
+    finally:
+        sys.setswitchinterval(interval)
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    for thread in left:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    return outcome, left
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 1024, 3 * 1024 + 33])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_lanes_give_the_serial_loops_heads_bitwise(monkeypatch, name, n, lanes):
+    # 5 lanes is more than a 2-core host has CPUs; a pass runs on
+    # min(lanes, chunks) threads, the caller's included, and leaves none
+    params, t, x = _value_pass_inputs(name, n)
+    serial = _serial_chunks(params, t, x)
+    count = threading.active_count()
+    ran_on = set()
+
+    def recorded(*args, **kwargs):
+        ran_on.add(threading.current_thread())
+        return forward_values(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward_values", recorded)
+    heads, left = _run_on_lanes(monkeypatch, lanes, lambda: forward_chunked(params, t, x))
+    assert left == [] and threading.active_count() == count
+    assert len(ran_on) == min(lanes, -(-n // trainer.VALUE_CHUNK))
+    for got, want in zip(heads, serial):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("high_first", [True, False], ids=["high fails first", "low fails first"])
+@pytest.mark.parametrize("lanes", [1, 2, 5])
+def test_a_failing_pass_raises_the_serial_loops_error(monkeypatch, lanes, high_first):
+    # chunk `low` overflows in trunk.2 and chunk `high` in trunk.0, on
+    # different lanes; the serial loop raises chunk `low`'s error.  When
+    # `high` fails first, the lane of `low` reaches it only afterwards (its
+    # chunk 1 waits), and must still run it; when `low` fails first (with
+    # `high` already started), the later failure must not replace it
+    step = trainer.VALUE_CHUNK
+    params, t, x = _value_pass_inputs("heat", 9 * step + 33)
+    params.trunk[2].w *= 1e10
+    low, high = lanes + 1, lanes + 2
+    t[low * step + 500] = 1e300
+    t[high * step + 7] = np.inf
+    chunk_of = {float(t[k * step]): k for k in range(10)}
+    with pytest.raises(EvaluationError) as serial:
+        _serial_chunks(params, t, x)
+    assert serial.value.layer == "trunk.2"
+    entered = [threading.Event() for _ in range(10)]
+    done = [threading.Event() for _ in range(10)]
+    # chunk -> the event its call waits for before it computes
+    waits = {1: done[high]} if high_first else {low: entered[high], high: done[low]}
+    count = threading.active_count()
+
+    def ordered(params, t, x, **kwargs):
+        k = chunk_of[float(t[0])]
+        entered[k].set()
+        if k in waits and lanes > 1:
+            assert waits[k].wait(timeout=60)
+            time.sleep(0.2)  # lets a failing lane record its chunk
+        try:
+            return forward_values(params, t, x, **kwargs)
+        finally:
+            done[k].set()
+
+    monkeypatch.setattr(trainer, "forward_values", ordered)
+    error, left = _run_on_lanes(monkeypatch, lanes, lambda: forward_chunked(params, t, x))
+    assert left == [] and threading.active_count() == count
+    assert isinstance(error, EvaluationError)
+    assert (str(error), error.layer) == (str(serial.value), serial.value.layer)
+
+
+def test_a_failing_chunk_stops_the_other_lanes(monkeypatch):
+    # chunk 0 overflows in its first layer while lane 1 holds chunk 1; once
+    # chunk 0 has failed, lane 1 finishes chunk 1 and starts no other
+    params, t, x = _value_pass_inputs("heat", 30 * 1024)
+    t[3] = np.inf
+    ran = []
+    failed = threading.Event()
+
+    def recorded(params, t, x, **kwargs):
+        ran.append(t)
+        if np.isinf(t).any():
+            try:
+                return forward_values(params, t, x, **kwargs)
+            finally:
+                failed.set()
+        assert failed.wait(timeout=60)
+        time.sleep(0.2)  # lets the failing lane record its chunk
+        return forward_values(params, t, x, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward_values", recorded)
+    error, left = _run_on_lanes(monkeypatch, 2, lambda: forward_chunked(params, t, x))
+    assert left == [] and error.layer == "trunk.0"
+    assert len(ran) <= 2
+
+
+def test_a_lane_that_cannot_start_stops_the_others(monkeypatch):
+    # the error of the failed start reaches the caller, and the lane that
+    # did start stops early (it has 10 of the 30 chunks) and is joined first
+    params, t, x = _value_pass_inputs("heat", 30 * 1024)
+    started, ran = [], []
+
+    def recorded(*args, **kwargs):
+        ran.append(threading.current_thread())
+        return forward_values(*args, **kwargs)
+
+    class FailingSecondStart(threading.Thread):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", FailingSecondStart)
+    monkeypatch.setattr(trainer, "forward_values", recorded)
+    error, left = _run_on_lanes(monkeypatch, 3, lambda: pytest.raises(RuntimeError, forward_chunked, params, t, x))
+    assert left == [] and len(started) == 1 and not started[0].is_alive()
+    assert set(ran) <= set(started) and len(ran) < 10
+    assert "can't start new thread" in str(error.value)
 
 
 @pytest.mark.parametrize("through", ["y", "u", "lam"])
