@@ -190,14 +190,6 @@ class Var:
 
         return Var(self.value - ov, (self,) + ((o,) if o is not None else ()), backward)
 
-    def __rsub__(self, other):
-        ov, _ = _coerce(other)
-
-        def backward(g, a=self):
-            _accumulate(a, -g)
-
-        return Var(ov - self.value, (self,), backward)
-
     def __mul__(self, other):
         ov, o = _coerce(other)
 
@@ -215,19 +207,6 @@ class Var:
             _accumulate(a, -g)
 
         return Var(-self.value, (self,), backward)
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            raise TypeError("Var division is only supported by constants")
-        return self * (1.0 / other)
-
-    def __pow__(self, exponent):
-        p = float(exponent)
-
-        def backward(g, a=self, pw=p):
-            _accumulate(a, g * pw * a.value ** (pw - 1.0))
-
-        return Var(self.value**p, (self,), backward)
 
     def __getitem__(self, key):
         """A view of part of the value, e.g. one component row ``v[j]``.
@@ -254,12 +233,6 @@ class Var:
 
         value = self.value.mean() if count is None else self.value.sum() / count
         return Var(value, (self,), backward)
-
-    def sum(self):
-        def backward(g, a=self):
-            _accumulate(a, np.full(a.value.shape, float(g)))
-
-        return Var(self.value.sum(), (self,), backward)
 
     # -- reverse pass -------------------------------------------------------
 

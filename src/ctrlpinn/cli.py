@@ -6,14 +6,14 @@ methods of the run's problem class (see ``ctrlpinn.problems``).
 
 Exit codes: 0 success, 2 configuration error (in the config file, in a flag
 such as an ``--out`` that cannot be made a directory or ``--epochs`` given
-with ``--long``, or in a run's saved config) or ``export`` of a run with
-two space dimensions (CSV field export covers time-only and 1-D spatial
-problems), 3 training divergence (partial artifacts are written), 4
-missing or unusable run artifacts (no checkpoint, an unreadable one, one whose
-architecture does not fit the run's problem, one whose network overflows,
-a ``metrics.csv`` that is empty or does not parse, or outputs of
-``validate`` or ``export`` that cannot be written, such as a
-``validation`` that is a regular file).
+with ``--long``, in a run's saved config, or a ``CTRLPINN_THREADS`` that is
+not an integer >= 1) or ``export`` of a run with two space dimensions (CSV
+field export covers time-only and 1-D spatial problems), 3 training
+divergence (partial artifacts are written), 4 missing or unusable run
+artifacts (no checkpoint, an unreadable one, one whose architecture does not
+fit the run's problem, one whose network overflows, a ``metrics.csv`` that is
+empty or does not parse, or outputs of ``validate`` or ``export`` that cannot
+be written, such as a ``validation`` that is a regular file).
 ``CTRLPINN_THREADS`` caps the BLAS threads of each matrix product (default
 1; set before numpy is first imported, which is why the heavy imports below
 live inside functions).  Value passes run floor(CPUs / cap) chunks at once
@@ -28,6 +28,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import thread_cap
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
@@ -35,7 +37,7 @@ EXIT_MISSING = 4
 
 
 def _apply_thread_cap():
-    cap = os.environ.get("CTRLPINN_THREADS", "1")
+    cap = str(thread_cap())
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, cap)
 
@@ -81,7 +83,11 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
+    try:
+        _apply_thread_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     args = _build_parser().parse_args(argv)
     commands = {"train": cmd_train, "validate": cmd_validate, "plot": cmd_plot, "export": cmd_export}
     return commands[args.command](args)

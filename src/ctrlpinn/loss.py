@@ -147,9 +147,7 @@ def weighted_total(terms, weights):
 CONDITION_SETS = (("initial", "y"), ("terminal", "lam"), ("boundary", "lam"))
 
 
-def evaluate_with_graph(
-    params, problem, batch, weights: LossWeights = LossWeights(), workspace=None, *, block=None, grads=None
-):
+def evaluate_with_graph(params, problem, batch, weights: LossWeights, workspace: Workspace, *, block=None, grads):
     """One piece of a training step's loss, as a live graph over new tapes.
 
     With ``block=(lo, hi)`` the piece is the interior terms over columns
@@ -157,9 +155,8 @@ def evaluate_with_graph(
     folds into the flat accumulator ``grads``; each mean divides by the
     whole set's count.  With ``block=None`` it is the condition terms, from
     one tape per non-empty condition set, the i-th of ``CONDITION_SETS``
-    folding into ``grads[i]``.  Without ``grads`` each tape folds into
-    fresh zeros.  The tapes borrow their arrays from ``workspace`` (each
-    makes its own when it is None).
+    folding into ``grads[i]``.  The tapes borrow their arrays from
+    ``workspace``.
 
     Returns ``(total, tapes, heads)``: the piece's weighted total (a ``Var``,
     or 0.0 when none of its terms carries weight), its tapes, and the head
@@ -183,8 +180,7 @@ def evaluate_with_graph(
         if not t_set.size:
             leaves[name] = heads[name] = ([], [], [])
             continue
-        acc = None if grads is None else grads[i]
-        tapes.append(NetworkTape(params, t_set, x_set, VALUES_ONLY, through=through, workspace=workspace, grads=acc))
+        tapes.append(NetworkTape(params, t_set, x_set, VALUES_ONLY, through=through, workspace=workspace, grads=grads[i]))
         leaves[name] = tuple(None if h is None else h.val for h in map(tapes[-1].head, HEADS))
         heads[name] = tuple(None if v is None else v.value for v in leaves[name])
     terms = assemble(problem, batch, outputs=leaves)

@@ -1,5 +1,5 @@
-"""Benchmark control problems: dynamics, costs, analytic partials, condition
-data, reference solutions, and what a trained network is checked against.
+"""Benchmark control problems: dynamics, analytic partials, condition data,
+reference solutions, and what a trained network is checked against.
 
 Each problem supplies its interior residual operators in strong form.  The
 adjoint of the spatial operator is written out analytically (the Laplacian is
@@ -18,7 +18,10 @@ as one slot.
 Each problem also owns the outputs of a trained network:
 :meth:`ControlProblem.write_artifacts` writes the final-state fields and
 plots of a training run, and :meth:`ControlProblem.validate` runs the
-problem's classical check and returns its report entries.
+problem's classical check and returns its report entries.  Only the
+analytical problem states its running cost in code: its check integrates
+the cost of the RK4 state under the learned control
+(:func:`~ctrlpinn.validators.cost_functional`).
 """
 
 from __future__ import annotations
@@ -93,24 +96,13 @@ class ControlProblem:
         """Supervised-data defects at the condition sets (the tracking
         integrals of the objective), from ``outputs`` as
         :meth:`condition_residuals` reads them."""
-        return []
+        raise NotImplementedError
 
     def interior_data_residuals(self, y, t, x):
         """Supervised-data defects over interior points, from the state
         values ``y`` there (indexed by component).  Pointwise, so a column
         block of the interior set yields the defects of its own points."""
         return []
-
-    # Cost pieces used by the quadrature validators --------------------------
-
-    def running_cost(self, t, x, y, u):
-        raise NotImplementedError
-
-    def terminal_cost(self, x, y_tf):
-        return None
-
-    def initial_time_cost(self, x, y_t0):
-        return None
 
     # Conditions -------------------------------------------------------------
 
@@ -279,12 +271,10 @@ class AnalyticalProblem(ControlProblem):
         return [-lam[0] - u[0]]
 
     def initial_state(self, x):
-        n = x.shape[0] if hasattr(x, "shape") else 1
-        return [np.ones(n)]
+        return [np.ones(x.shape[0])]
 
     def terminal_adjoint_target(self, y_tf, x):
-        n = x.shape[0] if hasattr(x, "shape") else 1
-        return [np.zeros(n)]
+        return [np.zeros(x.shape[0])]
 
     def data_residuals(self, batch, outputs):
         # The only supervised datum is the initial state value.
@@ -439,15 +429,6 @@ class HeatProblem(ControlProblem):
         # numbers.
         return [y[0] - self.y_star(t, x[:, 0])]
 
-    def running_cost(self, t, x, y, u):
-        return u[0] ** 2
-
-    def terminal_cost(self, x, y_tf):
-        return (y_tf[0] - self.y_star(self.domain.tf, x)) ** 2
-
-    def initial_time_cost(self, x, y_t0):
-        return (y_t0[0] - self.y_star(self.domain.t0, x)) ** 2
-
     # probes ------------------------------------------------------------------
 
     def probe_shape(self):
@@ -597,9 +578,6 @@ class PredatorPreyProblem(ControlProblem):
     def terminal_adjoint_target(self, y_tf, x):
         n = x.shape[0]
         return [np.zeros(n), np.zeros(n)]
-
-    def running_cost(self, t, x, y, u):
-        return (y[1] - self.y2_target(t, x[..., 0], x[..., 1])) ** 2 + u[0] ** 2
 
     # probes ------------------------------------------------------------------
 

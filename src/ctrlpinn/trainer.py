@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import thread_cap
 from .autodiff import EvaluationError
 from .loss import TERM_ORDER, LossWeights, loss_and_gradient
 from .network import HEADS, ControlPinnParams, Workspace, forward_values, init_params, load_params, save_params
@@ -52,16 +53,14 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n), step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(state: AdamState, params_flat: np.ndarray, gradient: np.ndarray, workspace=None):
-    """One ADAM update; returns the advanced state and parameter vector.
+def adam_step(state: AdamState, params_flat: np.ndarray, gradient: np.ndarray, workspace: Workspace):
+    """One ADAM update, in place; returns the advanced state and parameter
+    vector.
 
     Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
-    params - lr m_hat / sqrt(v_hat + eps).  Without a ``workspace`` the
-    three vectors it returns are fresh and ``state`` and ``params_flat`` are
-    left unchanged.  With one (a ``network.Workspace``) the update runs in
-    place: ``state.m``, ``state.v`` and ``params_flat`` are overwritten and
-    returned, and the two scratch vectors are borrowed from the workspace
-    and given back.  The bits are the same either way.
+    params - lr m_hat / sqrt(v_hat + eps).  ``state.m``, ``state.v`` and
+    ``params_flat`` are overwritten and returned, and the two scratch
+    vectors are borrowed from ``workspace`` and given back.
     """
     if gradient.shape != params_flat.shape:
         raise ValueError("gradient/parameter shape mismatch")
@@ -69,10 +68,7 @@ def adam_step(state: AdamState, params_flat: np.ndarray, gradient: np.ndarray, w
         index = int(np.flatnonzero(~np.isfinite(gradient))[0])
         raise NonFiniteGradientError(index, gradient[index])
     k = state.step + 1
-    if workspace is None:  # update copies, not the caller's vectors
-        m, v, updated, workspace = state.m.copy(), state.v.copy(), params_flat.copy(), Workspace()
-    else:
-        m, v, updated = state.m, state.v, params_flat
+    m, v = state.m, state.v
     scratch = np.multiply(gradient, 1.0 - state.beta1, out=workspace.take(gradient.shape))
     m *= state.beta1
     m += scratch
@@ -86,10 +82,10 @@ def adam_step(state: AdamState, params_flat: np.ndarray, gradient: np.ndarray, w
     step = np.divide(m, 1.0 - state.beta1**k, out=workspace.take(gradient.shape))  # m_hat
     step *= state.lr
     step /= scratch
-    updated -= step
+    params_flat -= step
     workspace.give(scratch, step)
     new_state = AdamState(m=m, v=v, step=k, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_state, updated
+    return new_state, params_flat
 
 
 @dataclass
@@ -137,11 +133,7 @@ def _value_lanes():
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    try:
-        per_call = max(1, int(os.environ.get("CTRLPINN_THREADS", "1")))
-    except ValueError:
-        per_call = 1
-    return max(1, cpus // per_call)
+    return max(1, cpus // thread_cap())
 
 
 def forward_chunked(params, t, x, through: str = "lam"):
@@ -215,9 +207,9 @@ def forward_chunked(params, t, x, through: str = "lam"):
     return (*outputs, *[None] * (len(HEADS) - len(outputs)))
 
 
-def evaluate_probe(params, problem, shape=None, with_curve: bool = False) -> dict:
+def evaluate_probe(params, problem, with_curve: bool = False) -> dict:
     """Reference errors on the problem's fixed probe grid."""
-    t, x, _ = problem.probe_points(shape)
+    t, x, _ = problem.probe_points()
     y, u, lam = forward_chunked(params, t, x, through=problem.probe_through)
     return problem.probe_report(t, x, y, u, lam, with_curve=with_curve)
 

@@ -98,7 +98,6 @@ class DnsSolution:
     y: np.ndarray  # (len(times), len(x))
     dt: float
     dx: float
-    scheme: str = "ftcs"
 
     def state_at(self, t):
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -293,48 +292,28 @@ def write_error_table(path, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _trapezoid_mean(values, t_grid, x_grid=None):
-    if x_grid is None:
-        integral = np.trapezoid(values, t_grid)
-        measure = t_grid[-1] - t_grid[0]
-    else:
-        integral = np.trapezoid(np.trapezoid(values, x_grid, axis=1), t_grid)
-        measure = (t_grid[-1] - t_grid[0]) * (x_grid[-1] - x_grid[0])
+def control_effort(control: ControlField) -> float:
+    """Mean of u^2 over the space-time domain of a 1-D spatial field, via
+    trapezoidal quadrature."""
+    if control.values.shape[1] < 2:
+        raise ValueError("control effort is taken over a field with a spatial axis")
+    t, x = control.t_grid, control.x_grid
+    integral = np.trapezoid(np.trapezoid(control.values**2, x, axis=1), t)
+    measure = (t[-1] - t[0]) * (x[-1] - x[0])
     return float(integral / measure)
 
 
-def control_effort(control: ControlField) -> float:
-    """Mean of u^2 over the space-time domain via trapezoidal quadrature."""
-    t = control.t_grid
-    if control.values.shape[1] == 1:
-        return _trapezoid_mean(control.values[:, 0] ** 2, t)
-    return _trapezoid_mean(control.values**2, t, control.x_grid)
-
-
 def cost_functional(problem, y_field: ControlField, u_field: ControlField) -> float:
-    """Quadrature of the problem's full objective over sampled fields.
+    """Trapezoidal quadrature of a time-only problem's running cost over
+    sampled fields.
 
-    The fields must share their time grid; spatial grids may differ (values
-    are compared on the state field's grid).
+    The state is read at ``y_field``'s time grid and the control is
+    interpolated there.  Spatial problems are refused with ValueError.
     """
-    if problem.domain.spatial_dim > 1:
-        raise NotImplementedError("sampled-field quadrature covers time-only and 1-D spatial problems")
+    if problem.domain.spatial_dim:
+        raise ValueError("the cost-functional quadrature covers time-only problems")
     t = y_field.t_grid
-    if problem.domain.spatial_dim == 0:
-        y = y_field.values[:, 0]
-        u = u_field.at(t, np.zeros_like(t))
-        g = problem.running_cost(t, None, [y], [u])
-        return float(np.trapezoid(g, t))
-
-    x = y_field.x_grid
-    tt, xx = np.meshgrid(t, x, indexing="ij")
-    u = u_field.at(tt, xx)
-    g = problem.running_cost(tt, xx[..., None], [y_field.values], [u])
-    total = float(np.trapezoid(np.trapezoid(g, x, axis=1), t))
-    w = problem.terminal_cost(x, [y_field.values[-1]])
-    if w is not None:
-        total += float(np.trapezoid(w, x))
-    w0 = problem.initial_time_cost(x, [y_field.values[0]])
-    if w0 is not None:
-        total += float(np.trapezoid(w0, x))
-    return total
+    y = y_field.values[:, 0]
+    u = u_field.at(t, np.zeros_like(t))
+    g = problem.running_cost(t, None, [y], [u])
+    return float(np.trapezoid(g, t))

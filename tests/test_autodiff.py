@@ -203,25 +203,30 @@ def test_nonfinite_activation_reports_layer():
 def test_var_backward_product_rule():
     xv, yv = np.array([1.5, -0.5]), np.array([2.0, 3.0])
     x, y = Var(xv), Var(yv)
-    out = (x * y + x).sum()
+    out = (x * y + x).mean()
     out.backward()
-    assert np.allclose(x.grad, yv + 1.0)
-    assert np.allclose(y.grad, xv)
+    assert np.allclose(x.grad, (yv + 1.0) / 2)
+    assert np.allclose(y.grad, xv / 2)
 
 
-def test_var_mean_pow_and_constants():
+def test_var_mean_square_and_constants():
     x = Var(np.array([1.0, 2.0, 3.0]))
-    out = ((2.0 * x - 1.0) ** 2).mean()
+    r = 2.0 * x - 1.0
+    out = (r * r).mean()
     out.backward()
     assert float(out.value) == pytest.approx(np.mean((2 * np.array([1.0, 2, 3]) - 1) ** 2))
     assert np.allclose(x.grad, 2 * (2 * np.array([1.0, 2, 3]) - 1) * 2 / 3)
 
 
 def test_var_numpy_left_operand():
+    # ndarray + Var and ndarray * Var reach the reflected operators; a
+    # subtraction from an array has none and is refused
     x = Var(np.array([1.0, 2.0]))
-    out = (np.array([3.0, 4.0]) - x).sum()
+    out = (np.array([3.0, 4.0]) * x + np.array([1.0, 0.0])).mean()
     out.backward()
-    assert np.allclose(x.grad, [-1.0, -1.0])
+    assert np.allclose(x.grad, [1.5, 2.0])
+    with pytest.raises(TypeError):
+        np.array([3.0, 4.0]) - x
 
 
 def test_var_getitem_scatters_each_read_into_the_leaf_gradient():
@@ -230,7 +235,8 @@ def test_var_getitem_scatters_each_read_into_the_leaf_gradient():
     value = np.arange(12.0).reshape(3, 4)
     v = Var(value)
     assert np.shares_memory(v[1].value, value)
-    out = (v[0] * v[2] + 3.0 * v[0]).sum() + (v[:, 1:3] * v[:, 1:3]).sum()
+    # mean(1) is the sum, so each read's adjoint enters undivided
+    out = (v[0] * v[2] + 3.0 * v[0]).mean(1) + (v[:, 1:3] * v[:, 1:3]).mean(1)
     out.backward()
     expected = np.zeros((3, 4))
     expected[0] += value[2] + 3.0
@@ -278,11 +284,11 @@ def test_head_leaves_sharing_one_adjoint_array_keep_their_gradient():
 
     def shared(p):
         tape = NetworkTape(p, t, x, JetSpec())
-        return (tape.head("y").val + tape.head("u").val + tape.head("lam").val).sum(), [tape]
+        return (tape.head("y").val + tape.head("u").val + tape.head("lam").val).mean(), [tape]
 
     def separate(p):
         tape = NetworkTape(p, t, x, JetSpec())
-        return tape.head("y").val.sum() + tape.head("u").val.sum() + tape.head("lam").val.sum(), [tape]
+        return tape.head("y").val.mean() + tape.head("u").val.mean() + tape.head("lam").val.mean(), [tape]
 
     _, grad_shared = loss_gradient(params, shared)
     _, grad_separate = loss_gradient(params, separate)
@@ -426,12 +432,13 @@ def test_jet_spec_axes_select_the_carried_partials():
         NetworkTape(params, t, x, JetSpec(axes=(2,)))
 
 
-def _jet_loss(tape):
-    # every jet slot of every head enters, so each block record is exercised
+def _jet_loss(tape, count):
+    # every jet slot of every head enters, so each block record is exercised;
+    # each mean divides by the whole batch's ``count`` points
     total = None
     for name in ("y", "u", "lam"):
         for term in tape.head(name).comps():
-            part = (term * term).sum()
+            part = (term * term).mean(count)
             total = part if total is None else total + part
     return total
 
@@ -441,14 +448,14 @@ def test_column_blocks_match_one_tape_per_block():
     n = 3 * BLOCK_POINTS + 7
     t, x = _batch_2d(n, 3)
     whole = NetworkTape(params, t, x, JetSpec())
-    _jet_loss(whole).backward()
+    _jet_loss(whole, n).backward()
     grad = whole.parameter_gradient()
 
     grad_blocks = np.zeros_like(grad)
     for lo in range(0, n, BLOCK_POINTS):
         hi = min(lo + BLOCK_POINTS, n)
         part = NetworkTape(params, t[lo:hi], x[lo:hi], JetSpec())
-        _jet_loss(part).backward()
+        _jet_loss(part, n).backward()
         grad_blocks += part.parameter_gradient()
         for name in ("y", "u", "lam"):
             a, b = head_values(whole, name), head_values(part, name)
@@ -470,7 +477,7 @@ def test_tape_through_keeps_the_heads_it_computes_and_their_gradient(through):
         total = None
         for name in kept:
             for term in tape.head(name).comps():
-                part = (term * term).sum()
+                part = (term * term).mean()
                 total = part if total is None else total + part
         total.backward()
         return tape.parameter_gradient()

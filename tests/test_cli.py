@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,20 @@ def test_out_of_range_flag_exits_config_error(tmp_path, capsys, argv):
     expected = "--long: not allowed with argument --epochs" if "--long" in argv else f"{argv[1]}: must be >="
     assert f"argument {expected}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_bad_thread_cap_exits_config_error(tmp_path, capsys, monkeypatch, value):
+    # OpenBLAS reads such a value as "every core": it must not get it
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("CTRLPINN_THREADS", value)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", _cfg(tmp_path, TINY_ANALYTICAL), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"CTRLPINN_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+    assert not any(var in os.environ for var in blas)
 
 
 def test_a_new_problem_class_runs_through_every_command(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,10 +38,16 @@ SMALL = SampleSizes(interior=64, initial=16, terminal=16, boundary=16)
 # -- adam ------------------------------------------------------------------------
 
 
+def _adam_on_copies(state, theta, g):
+    """``adam_step`` on copies of the state and parameters, which the
+    in-place update leaves to the caller as they were."""
+    return adam_step(replace(state, m=state.m.copy(), v=state.v.copy()), theta.copy(), g, Workspace())
+
+
 def test_adam_zero_gradient_leaves_parameters_unchanged():
     state = AdamState.init(5, lr=1e-3)
     params = np.linspace(-1, 1, 5)
-    new_state, updated = adam_step(state, params, np.zeros(5))
+    new_state, updated = _adam_on_copies(state, params, np.zeros(5))
     assert np.array_equal(updated, params)
     assert new_state.step == 1
 
@@ -48,7 +55,7 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
 def test_adam_first_update_hand_computed():
     # theta=0, g=1, lr=1e-3, defaults: first step lands at ~-9.99999995e-4
     state = AdamState.init(1, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
-    _, updated = adam_step(state, np.zeros(1), np.ones(1))
+    _, updated = _adam_on_copies(state, np.zeros(1), np.ones(1))
     assert updated[0] == pytest.approx(-9.99999995e-4, rel=1e-7)
 
 
@@ -59,23 +66,25 @@ def test_adam_constant_gradient_step_size_approaches_lr():
     previous = theta.copy()
     for _ in range(5000):
         previous = theta.copy()
-        state, theta = adam_step(state, theta, g)
+        state, theta = _adam_on_copies(state, theta, g)
     assert abs(abs(theta[0] - previous[0]) - state.lr) < 1e-6
 
 
 def test_adam_step_equals_the_textbook_expressions_bitwise():
-    # five steps with gradients spanning 8 decades; the state passed in is
-    # left as it was
+    # five steps with gradients spanning 8 decades, run in place: the update
+    # overwrites the state and parameters it is given, and both scratch
+    # vectors go back to the workspace
     rng = np.random.default_rng(21)
     n = 2000
     state = AdamState.init(n, lr=2e-3)
     theta = rng.standard_normal(n)
     m, v, ref = np.zeros(n), np.zeros(n), theta.copy()
+    workspace = Workspace()
     for k in range(1, 6):
         g = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 2.0, n)
-        before = (state.m.copy(), state.v.copy(), theta.copy())
-        new_state, new_theta = adam_step(state, theta, g)
-        assert all(np.array_equal(a, b) for a, b in zip((state.m, state.v, theta), before))
+        new_state, new_theta = adam_step(state, theta, g, workspace)
+        assert new_state.m is state.m and new_state.v is state.v and new_theta is theta
+        assert workspace_bytes(workspace) == 2 * n * 8
         m = state.beta1 * m + (1.0 - state.beta1) * g
         v = state.beta2 * v + (1.0 - state.beta2) * g * g
         m_hat = m / (1.0 - state.beta1**k)
@@ -86,30 +95,11 @@ def test_adam_step_equals_the_textbook_expressions_bitwise():
         state, theta = new_state, new_theta
 
 
-def test_adam_step_in_place_gives_the_fresh_vectors_bits():
-    # with a workspace the update overwrites the state and parameters it is
-    # given, and both scratch vectors go back to the workspace
-    rng = np.random.default_rng(22)
-    n = 2000
-    fresh = AdamState.init(n, lr=2e-3), rng.standard_normal(n)
-    in_place = AdamState.init(n, lr=2e-3), fresh[1].copy()
-    workspace = Workspace()
-    for _ in range(5):
-        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 2.0, n)
-        fresh = adam_step(*fresh, g)
-        state, theta = in_place
-        in_place = adam_step(state, theta, g, workspace)
-        assert in_place[0].m is state.m and in_place[0].v is state.v and in_place[1] is theta
-        for got, want in zip((in_place[0].m, in_place[0].v, in_place[1]), (fresh[0].m, fresh[0].v, fresh[1])):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert workspace_bytes(workspace) == 2 * n * 8
-
-
 def test_adam_rejects_nonfinite_gradient_with_index():
     state = AdamState.init(4)
     gradient = np.array([0.0, 1.0, np.nan, 2.0])
     with pytest.raises(NonFiniteGradientError) as err:
-        adam_step(state, np.zeros(4), gradient)
+        adam_step(state, np.zeros(4), gradient, Workspace())
     assert err.value.index == 2
     assert "2" in str(err.value)
 
@@ -275,7 +265,9 @@ def test_loss_trend_is_nonincreasing_on_moving_average(analytical_run_300):
 def test_probe_evaluation_shapes():
     problem = get_problem("predator_prey")
     params = init_params(problem.arch_config(), seed=0)
-    report = evaluate_probe(params, problem, shape=(3, 11, 11), with_curve=True)
+    t, x, _ = problem.probe_points((3, 11, 11))
+    y, u, lam = forward_chunked(params, t, x, through=problem.probe_through)
+    report = problem.probe_report(t, x, y, u, lam, with_curve=True)
     assert set(report) >= {"err_y", "err_u", "err_lam", "error_by_time"}
     assert len(report["error_by_time"]) == 3
 
@@ -327,6 +319,14 @@ def test_chunked_pass_maps_one_chunk_of_buffers(monkeypatch):
         mapped.append([workspace_bytes(pool) for pool in pools[-2:]])
     assert len(pools) == 4
     assert mapped[0] == mapped[1] and min(mapped[0]) > 0
+
+
+@pytest.mark.parametrize(("cap", "cpus", "lanes"), [("1", 2, 2), ("2", 2, 1), ("3", 2, 1), ("2", 5, 2)])
+def test_value_lanes_share_the_cpus_among_the_blas_threads(monkeypatch, cap, cpus, lanes):
+    # lanes times BLAS threads per product stays within the CPUs
+    monkeypatch.setenv("CTRLPINN_THREADS", cap)
+    monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert trainer._value_lanes() == lanes
 
 
 def _serial_chunks(params, t, x):

@@ -190,6 +190,11 @@ def test_control_effort_constant_field():
     assert control_effort(_uniform_field(1.0, nt=11, nx=11)) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_control_effort_refuses_a_field_without_a_spatial_axis():
+    with pytest.raises(ValueError, match="spatial axis"):
+        control_effort(_uniform_field(1.0, nt=11, nx=1))
+
+
 def test_control_effort_of_reference_control():
     # quadrature of sin^2(pi x) sin^2(pi t / 2) over the unit square is 1/4;
     # the published comparison value 0.2497 sits within 1e-3 of it
@@ -225,17 +230,12 @@ def test_cost_functional_uncontrolled_scalar_problem():
     assert value == pytest.approx(np.e - 1.0, abs=1e-6)
 
 
-def test_cost_functional_heat_reference_pair_is_effort_dominated():
+def test_cost_functional_refuses_a_spatial_problem():
+    # the quadrature covers the time-only objective that `validate` integrates
     problem = get_problem("heat")
-    n = 401
-    t = np.linspace(0, 1, n)
-    x = np.linspace(0, 1, n)
-    tt, xx = np.meshgrid(t, x, indexing="ij")
-    y_field = ControlField(0, 1, 0, 1, problem.y_star(tt, xx))
-    u_field = ControlField(0, 1, 0, 1, problem.u_star(tt, xx))
-    value = cost_functional(problem, y_field, u_field)
-    # tracking terms vanish on the reference pair, leaving the control energy
-    assert value == pytest.approx(0.25, abs=1e-3)
+    field = ControlField(0, 1, 0, 1, np.zeros((5, 5)))
+    with pytest.raises(ValueError, match="time-only"):
+        cost_functional(problem, field, field)
 
 
 def test_field_csv_round_trip(tmp_path):
