@@ -15,7 +15,10 @@ run backward, its weight gradient folds into one accumulator that the
 interior blocks share, and its records go back to the workspace (the
 release point) before the next block starts: a step's tape memory is one
 block's, whatever the batch size.  The condition sets follow as one more
-piece, a tape per set.  The breakdown is computed once, at the end, from
+piece, a tape per set: its graph runs backward once, then each set's tape
+in turn folds into one zeroed parameter-sized row, which is added to the
+accumulator, so the step holds one such row rather than one per set.  The
+breakdown is computed once, at the end, from
 the whole sets' head values through :func:`assemble`'s array path.  The
 blocks, their order and the order in which the tapes' gradients are summed
 (interior, initial, terminal, boundary) are those of one graph over the
@@ -154,8 +157,9 @@ def evaluate_with_graph(params, problem, batch, weights: LossWeights, workspace:
     [lo, hi) of ``batch.interior``, from one tape whose weight gradient
     folds into the flat accumulator ``grads``; each mean divides by the
     whole set's count.  With ``block=None`` it is the condition terms, from
-    one tape per non-empty condition set, the i-th of ``CONDITION_SETS``
-    folding into ``grads[i]``.  The tapes borrow their arrays from
+    one tape per non-empty condition set, in ``CONDITION_SETS`` order, each
+    folding into the flat row ``grads``, which :func:`loss_and_gradient`
+    zeroes before each fold.  The tapes borrow their arrays from
     ``workspace``.
 
     Returns ``(total, tapes, heads)``: the piece's weighted total (a ``Var``,
@@ -175,30 +179,37 @@ def evaluate_with_graph(params, problem, batch, weights: LossWeights, workspace:
         return weighted_total(terms, weights)[0], [tape], heads
 
     tapes, leaves, heads = [], {}, {}
-    for i, (name, through) in enumerate(CONDITION_SETS):
+    for name, through in CONDITION_SETS:
         t_set, x_set = getattr(batch, name)
         if not t_set.size:
             leaves[name] = heads[name] = ([], [], [])
             continue
-        tapes.append(NetworkTape(params, t_set, x_set, VALUES_ONLY, through=through, workspace=workspace, grads=grads[i]))
+        tapes.append(NetworkTape(params, t_set, x_set, VALUES_ONLY, through=through, workspace=workspace, grads=grads))
         leaves[name] = tuple(None if h is None else h.val for h in map(tapes[-1].head, HEADS))
         heads[name] = tuple(None if v is None else v.value for v in leaves[name])
     terms = assemble(problem, batch, outputs=leaves)
     return weighted_total(terms, weights)[0], tapes, heads
 
 
-def _fold(total, tapes):
-    """Run one piece's graph backward and fold every tape's weight gradient,
-    then give the tapes' records back.  Returns what each tape's
-    ``parameter_gradient`` returned, or None when the piece carries no
-    weight (nothing is folded)."""
+def _fold(total, tapes, row=None, gradient=None):
+    """Run one piece's graph backward and fold every tape's weight gradient
+    into its accumulator, in tape order, then give the tapes' records back.
+    With ``row``, the tapes' shared accumulator, each fold starts from a
+    zeroed ``row``, which is then added to ``gradient``.  Nothing is folded
+    when the piece carries no weight.
+    """
     try:
         if not isinstance(total, Var):
-            return None
+            return
         if not np.isfinite(total.value):
             raise EvaluationError(f"non-finite loss value {float(total.value)!r}")
         total.backward()
-        return [tape.parameter_gradient() for tape in tapes]
+        for tape in tapes:
+            if row is not None:
+                row.fill(0.0)
+            tape.parameter_gradient()
+            if row is not None:
+                gradient += row
     finally:
         for tape in tapes:
             tape.release()
@@ -209,8 +220,8 @@ def loss_and_gradient(params, problem, batch, weights: LossWeights = LossWeights
 
     Streams the interior set one column block at a time, then the condition
     sets (see the module docstring).  The interior blocks fold straight
-    into the returned gradient, which starts at zero; the condition tapes
-    fold into rows of one workspace array, added to it in set order.  The
+    into the returned gradient, which starts at zero; each condition tape
+    folds into one zeroed workspace row, added to it in set order.  The
     gradient is ``out`` (a float vector of ``num_params``, overwritten)
     when given, else a fresh array.  The tapes borrow their arrays from
     ``workspace``, a ``network.Workspace`` that a caller may keep across
@@ -227,12 +238,10 @@ def loss_and_gradient(params, problem, batch, weights: LossWeights = LossWeights
         total, tapes, heads = evaluate_with_graph(params, problem, batch, weights, workspace, block=block, grads=gradient)
         _fold(total, tapes)
         interior.append(heads)
-    conditions = workspace.take((len(CONDITION_SETS), params.num_params))
-    conditions.fill(0.0)
-    total, tapes, outputs = evaluate_with_graph(params, problem, batch, weights, workspace, grads=conditions)
-    for flat in _fold(total, tapes) or ():
-        gradient += flat
-    workspace.give(conditions)
+    row = workspace.take((params.num_params,))
+    total, tapes, outputs = evaluate_with_graph(params, problem, batch, weights, workspace, grads=row)
+    _fold(total, tapes, row, gradient)
+    workspace.give(row)
 
     whole = {name: Jets.join([h[name] for h in interior], np.hstack) for name in HEADS}
     breakdown = weighted_total(assemble(problem, batch, whole, outputs), weights)[1]

@@ -37,9 +37,11 @@ residuals, so the adjoints of a column block's heads depend on that block
 alone: a training step streams its interior set through one tape per
 block, in block order, and releases each before the next starts (see
 ``ctrlpinn.loss``).  The pool then holds one block's records, the
-temporaries and the condition tapes' gradient rows, about 22 MiB for
+temporaries and the condition tapes' gradient row, about 19 MiB for
 predator-prey whatever the batch size; the tail block and the smaller
-condition sets reuse the full block's buffers.
+condition sets reuse the full block's buffers.  A later branch's input,
+the heads so far stacked on the previous branch's last hidden layer, is
+no copy: that layer writes its output into the input's rows.
 The run clears the pool before each probe and when its loop ends, which
 unmaps the pages, so nothing that runs afterwards stacks on top of them.
 
@@ -61,6 +63,8 @@ import bisect
 import json
 import math
 import mmap
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,9 +286,15 @@ class Workspace:
         return np.ndarray(shape, dtype, a.base)
 
     def give(self, *arrays):
-        """Return arrays that :meth:`take` made; None entries are skipped."""
+        """Return arrays that :meth:`take` made; None entries are skipped.
+
+        Raises ValueError for any other array, a view of a taken one
+        included: its buffer's size is not known, so it could not be filed.
+        """
         for a in arrays:
             if a is not None:
+                if not isinstance(a.base, mmap.mmap):
+                    raise ValueError("Workspace.give takes only arrays that Workspace.take returned")
                 size = len(a.base)
                 free = self._free.get(size)
                 if free is None:
@@ -328,8 +338,13 @@ def _input_bundle(t, x, spec: JetSpec, ws: Workspace):
     return Jets(val, dt, dx, lap)
 
 
-def _dense_fwd(dense: Dense, j: Jets, label: str, ws: Workspace) -> Jets:
-    z = j.map(lambda c: np.matmul(dense.w, c, out=ws.take((dense.w.shape[0], c.shape[1]))))
+def _dense_fwd(dense: Dense, j: Jets, label: str, ws: Workspace, z: Jets | None = None) -> Jets:
+    """The layer's product of ``j``, written into the bundle ``z`` (fresh
+    workspace arrays when None) and returned; the value gets the bias."""
+    if z is None:
+        z = j.map(lambda c: ws.take((dense.w.shape[0], c.shape[1])))
+    for c, out in zip(j.comps(), z.comps()):
+        np.matmul(dense.w, c, out=out)
     z.val += dense.b[:, None]
     finite = np.isfinite(z.val, out=ws.take(z.val.shape, bool))
     ok = finite.all()
@@ -449,6 +464,13 @@ class _Block:
     :func:`_act_fwd`'s factors.  No pre-activation bundle is kept, because
     ELU runs in place.  The last output bundle of a branch feeds its head,
     whose output bundle is ``heads[name]``.
+
+    A later branch reads the heads so far stacked on the previous branch's
+    last hidden layer.  That layer writes its products straight into rows
+    ``[k:]`` of the later branch's input arrays, ``k`` the heads' total
+    width, and ELU runs in place there; the heads are copied into rows
+    ``[:k]``.  Its record holds views of those rows, so :meth:`release`
+    gives each such buffer back once, as the later branch's input.
     """
 
     __slots__ = ("records", "heads")
@@ -457,10 +479,16 @@ class _Block:
         self.records = {}
         self.heads = {}
         bundle = inp
-        for label, denses, name, head in params.stages():
+        k = 0
+        for (label, denses, name, head), width in zip(params.stages(), params.config.head_widths):
+            k += width
             records = []
             for i, dense in enumerate(denses):
-                out = _dense_fwd(dense, bundle, f"{label}.{i}", ws)
+                out = None
+                if i == len(denses) - 1 and name != through:
+                    stacked = bundle.map(lambda c: ws.take((k + dense.w.shape[0], c.shape[1])))
+                    out = stacked.map(lambda a: a[k:])
+                out = _dense_fwd(dense, bundle, f"{label}.{i}", ws, out)
                 d1, m, w = _act_fwd(out, ws)  # out now holds the layer's output
                 records.append((bundle, out, d1, m, w))
                 bundle = out
@@ -468,7 +496,9 @@ class _Block:
             self.heads[name] = _dense_fwd(head, bundle, f"{name}_head", ws)
             if name == through:
                 break
-            bundle = Jets.join([*self.heads.values(), bundle], lambda parts: _stack_rows(parts, ws))
+            for rows, parts in zip(stacked.comps(), zip(*(h.comps() for h in self.heads.values()))):
+                np.concatenate(parts, axis=0, out=rows[:k])
+            bundle = stacked
 
     def backward(self, params: ControlPinnParams, g_heads, grads, ws: Workspace):
         """Accumulate this block's weight gradients into ``grads``.
@@ -505,11 +535,15 @@ class _Block:
             ws.give(*g_in.comps())
 
     def release(self, ws: Workspace):
-        """Give the recorded bundles and factors back to ``ws``."""
+        """Give the recorded bundles and factors back to ``ws``, each buffer
+        once: a branch's last output lives in rows of the next branch's
+        input, except the last branch's."""
         for records in self.records.values():
             ws.give(*records[0][0].comps())  # the branch's input
-            for _, out, d1, m, w in records:
+            for _, out, d1, m, w in records[:-1]:
                 ws.give(*out.comps(), d1, m, w)
+            ws.give(*records[-1][2:])
+        ws.give(*records[-1][1].comps())
         self.records = None
 
 
@@ -681,35 +715,65 @@ def forward_values(params: ControlPinnParams, t, x=None, through: str = "lam", w
 # Parameter checkpoints: a JSON document with an architecture header, the
 # flat weight vector as a decimal list (floats survive the round trip
 # exactly), and an optional ``extra`` object, which training checkpoints fill
-# (see ``trainer.save_checkpoint``).
+# (see ``trainer.save_checkpoint``).  The list is written and read without
+# ever holding it as Python floats, a few MiB of small objects that the
+# allocator kept mapped afterwards: it is written in slices, and read by
+# numpy's text parser, while ``json`` reads the rest of the document.
+
+_SEPARATORS = (",", ":")
+_SLICE = 4096  # parameters per json.dumps call when writing
+_PARAMS_KEY = re.compile(r'"params"\s*:\s*\[')
 
 
 def save_params(path, params: ControlPinnParams, extra: dict | None = None):
-    doc = {
+    """Write the text of ``json.dumps(doc, separators=(",", ":"))``, with the
+    keys ``format``, ``architecture``, ``params`` and, when given,
+    ``extra``."""
+    header = {
         "format": PARAMS_FORMAT,
         "architecture": {
             "spatial_dim": params.config.spatial_dim,
             "n_y": params.config.n_y,
             "n_u": params.config.n_u,
         },
-        "params": params.to_flat().tolist(),
     }
-    if extra is not None:
-        doc["extra"] = extra
+    flat = params.to_flat()
     # json.dumps runs the C encoder; json.dump would run the pure-Python
     # one, for the same text.
-    text = json.dumps(doc, separators=(",", ":"))
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(json.dumps(header, separators=_SEPARATORS)[:-1] + ',"params":[')
+        for lo in range(0, flat.size, _SLICE):
+            fh.write(("," if lo else "") + json.dumps(flat[lo : lo + _SLICE].tolist(), separators=_SEPARATORS)[1:-1])
+        fh.write("]")
+        if extra is not None:
+            fh.write(',"extra":' + json.dumps(extra, separators=_SEPARATORS))
+        fh.write("}")
 
 
 def load_params(path):
-    """(params, extra) of a file in any of ``READABLE_FORMATS``."""
+    """(params, extra) of a file in any of ``READABLE_FORMATS``, whatever
+    its whitespace.  A malformed number in ``params`` raises ValueError."""
     with open(path) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    key = _PARAMS_KEY.search(text)
+    if key is None:
+        raise ValueError("checkpoint has no params list")
+    lo, hi = key.end(), text.find("]", key.end())
+    if hi < 0:
+        raise ValueError("checkpoint's params list is not closed")
+    doc = json.loads(text[:lo] + text[hi:])  # the document with an empty params list
     if doc.get("format") not in READABLE_FORMATS:
         raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
+    if doc.get("params") != []:
+        raise ValueError("checkpoint's params list is not the top-level one")
+    # numpy releases before the parser's strict mode warn and truncate at a
+    # bad token instead of raising
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            flat = np.fromstring(text[lo:hi], sep=",")
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
     arch = doc["architecture"]
     config = ArchitectureConfig(arch["spatial_dim"], arch["n_y"], arch["n_u"])
-    params = ControlPinnParams.from_flat(config, np.asarray(doc["params"], dtype=float))
-    return params, doc.get("extra")
+    return ControlPinnParams.from_flat(config, flat), doc.get("extra")

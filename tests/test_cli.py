@@ -230,6 +230,22 @@ def test_unknown_checkpoint_format_is_missing_artifact(tmp_path, capsys, command
     assert "unsupported checkpoint format 'ctrlpinn-params/99'" in capsys.readouterr().err
 
 
+def test_bad_number_in_checkpoint_params_is_missing_artifact(tmp_path, capsys):
+    # numpy's text parser stops at the bad token; it must not hand back the
+    # numbers before it, nor a traceback
+    out = _trained(tmp_path, TINY_ANALYTICAL, "run")
+    ckpt = out / "checkpoint_final.json"
+    text = ckpt.read_text()
+    lo = text.index('"params":[') + len('"params":[')
+    comma = text.index(",", lo)
+    ckpt.write_text(text[:comma] + ",0.5x" + text[comma:])
+    capsys.readouterr()
+    assert cli.main(["validate", str(out), "--resolution", "41"]) == cli.EXIT_MISSING
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {ckpt} is not a readable checkpoint: ValueError")
+    assert not (out / "validation" / "report.json").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "export"])
 def test_checkpoint_of_another_problem_is_refused(tmp_path, capsys, command):
     # an analytical network under a heat config must not validate
